@@ -11,9 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import basis as basis_mod
 from . import binforms, perpetua, symfunc
+
+# q_6 has 19930 terms and expands in under a second; q_7, of degree 63
+# in six variables, may have up to 10.4 million terms.
+QN_MAX_N = 6
 
 
 def _add_format(p):
@@ -98,10 +103,16 @@ def run(argv, out=sys.stdout, err=sys.stderr):
     except SystemExit as e:
         return 2 if e.code else 0
 
-    if args.command == "basis":
-        if args.n < 1 or args.g < 0:
-            err.write("need n >= 1 and g >= 0\n")
+    for flag in ("g", "gmax"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            err.write(f"need {flag} >= 0, got {value}\n")
             return 2
+    if args.command in ("basis", "dims", "stroh", "oracle") and args.n < 1:
+        err.write(f"need n >= 1, got {args.n}\n")
+        return 2
+
+    if args.command == "basis":
         _emit_elements(basis_mod.u_basis(args.n, args.g), args, out)
         return 0
 
@@ -149,6 +160,14 @@ def run(argv, out=sys.stdout, err=sys.stderr):
     if args.command == "qn":
         if args.n < 3:
             err.write("q_n needs n >= 3\n")
+            return 2
+        if args.n > QN_MAX_N:
+            degree = 2 ** (args.n - 1) - 1
+            err.write(
+                f"q_{args.n} has degree {degree} in {args.n - 1} variables, up to "
+                f"{comb(degree + args.n - 2, args.n - 2)} terms; "
+                f"qn is limited to n <= {QN_MAX_N}\n"
+            )
             return 2
         q = symfunc.q_n(args.n)
         lead = symfunc.leading_exponent(q)

@@ -202,6 +202,10 @@ class Poly:
         """Terms in canonical (graded, then leading-variable) order."""
         return [(ev, self._terms[ev]) for ev in sorted(self._terms, key=_canon_key)]
 
+    def exponents(self):
+        """Exponent vectors of the nonzero terms, in no particular order."""
+        return self._terms.keys()
+
     def coefficient(self, ev):
         return self._terms.get(ev, Fraction(0))
 

@@ -289,42 +289,80 @@ def bar_reduce(p, n):
     return p.substitute(n, repl)
 
 
-def p_h(n, h):
-    """Product of the linear forms sum(L_i, i in T) over |T| = h, reduced.
+def _reduced_forms(n, h):
+    """The linear forms sum(L_i, i in T) of p_h as {variable: coefficient}.
 
-    Degree binom(n, h) for 2h < n; for n = 2h only subsets containing 1
-    are used, giving degree binom(2h, h)/2.  Factors are multiplied in
-    increasing lexicographic order of T; no sign normalization.
+    Ln is replaced by -(L1 + ... + L(n-1)), so a form with n in T has
+    coefficient -1 on every L_j outside T and 0 inside it.
     """
-    if not 1 <= h <= n // 2:
-        raise ValueError(f"h must satisfy 1 <= h <= {n // 2}")
     if 2 * h < n:
         subsets = combinations(range(1, n + 1), h)
     else:
         subsets = (
             (1,) + rest for rest in combinations(range(2, n + 1), h - 1)
         )
-    out = Poly.constant("L", 1)
     for T in subsets:
-        factor = Poly.zero("L")
-        for i in T:
-            if i < n:
-                factor = factor + Poly.variable("L", i)
-            else:
-                for j in range(1, n):
-                    factor = factor - Poly.variable("L", j)
-        out = out * factor
-    return out
+        if T[-1] == n:
+            yield {j: -1 for j in range(1, n) if j not in T}
+        else:
+            yield dict.fromkeys(T, 1)
+
+
+def _expand_forms(forms, n):
+    """The product of linear forms in L1..L(n-1), expanded as a Poly.
+
+    Each monomial is one packed int with L1 in the highest field.  No
+    exponent exceeds the number of factors, so fields wide enough to hold
+    that number never carry; coefficients stay ints until the single
+    conversion at the end.
+    """
+    forms = list(forms)
+    width = len(forms).bit_length()
+    shift = {j: width * (n - 1 - j) for j in range(1, n)}
+    acc = {0: 1}
+    for form in forms:
+        steps = [(1 << shift[j], c) for j, c in form.items()]
+        out = {}
+        get = out.get
+        for mono, a in acc.items():
+            for step, c in steps:
+                key = mono + step
+                out[key] = get(key, 0) + a * c
+        acc = {mono: a for mono, a in out.items() if a}
+    mask = (1 << width) - 1
+    return Poly(
+        "L",
+        {
+            ExponentVector(
+                {j: (mono >> s) & mask for j, s in shift.items()}
+            ): a
+            for mono, a in acc.items()
+        },
+    )
+
+
+def p_h(n, h):
+    """Product of the linear forms sum(L_i, i in T) over |T| = h, reduced.
+
+    Degree binom(n, h) for 2h < n; for n = 2h only subsets containing 1
+    are used, giving degree binom(2h, h)/2.  No sign normalization.
+    """
+    if not 1 <= h <= n // 2:
+        raise ValueError(f"h must satisfy 1 <= h <= {n // 2}")
+    return _expand_forms(_reduced_forms(n, h), n)
 
 
 @lru_cache(maxsize=None)
 def q_n(n):
-    """The product p_1 * p_2 * ... * p_floor(n/2), of degree 2^(n-1) - 1."""
+    """The product p_1 * p_2 * ... * p_floor(n/2), of degree 2^(n-1) - 1.
+
+    All linear forms of all p_h are multiplied into one expansion.
+    """
     if n < 3:
         raise ValueError("q_n is defined for n >= 3")
-    out = Poly.constant("L", 1)
-    for h in range(1, n // 2 + 1):
-        out = out * p_h(n, h)
+    out = _expand_forms(
+        (form for h in range(1, n // 2 + 1) for form in _reduced_forms(n, h)), n
+    )
     if out.total_degree() != 2 ** (n - 1) - 1:
         raise AssertionError("q_n degree mismatch")
     return out
@@ -335,7 +373,7 @@ def leading_exponent(p):
     if p.is_zero():
         raise ValueError("zero polynomial has no leading exponent")
     best = None
-    for ev, _ in p.terms():
+    for ev in p.exponents():
         if best is None or best.lex_less(ev):
             best = ev
     return best

@@ -3,6 +3,9 @@
 import io
 import json
 
+import pytest
+
+from perpetuants import symfunc
 from perpetuants.cli import run
 
 
@@ -116,6 +119,40 @@ def test_qn_json():
 def test_qn_rejects_small_n():
     code, _, err = call("qn", "2")
     assert code == 2
+
+
+def test_qn_7_fails_fast_with_its_size(monkeypatch):
+    def expand(n):
+        raise AssertionError("q_n must not be expanded past the guard")
+
+    monkeypatch.setattr(symfunc, "q_n", expand)
+    code, out, err = call("qn", "7")
+    assert code == 2
+    assert out == ""
+    assert "degree 63" in err and "10424128 terms" in err and "n <= 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "basis 1 -1",
+        "dims 3 --gmax -1",
+        "dims 0 --gmax 3",
+        "stroh 0 --gmax 3",
+        "stroh 3 --gmax -1",
+        "oracle 0 0",
+        "oracle 3 -2",
+        "perpetuants 3 -1",
+        "verify 3 -1",
+        "verify 3 --gmax -1",
+        "verify 3 --gmax -1 --format json",
+    ],
+)
+def test_bad_input_is_one_line_and_exit_2(argv):
+    code, out, err = call(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_relations_all_pass():

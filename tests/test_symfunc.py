@@ -1,6 +1,10 @@
 """Symmetric-function side: partitions, transition matrices, the bar
 reduction, p_h / q_n and leading exponents."""
 
+import math
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +287,53 @@ def test_q_degrees():
 def test_q_n_needs_three():
     with pytest.raises(ValueError):
         q_n(2)
+
+
+def _subsets(n, h):
+    """The index sets T of the linear forms of p_h, in the order of p_h."""
+    if 2 * h < n:
+        return list(combinations(range(1, n + 1), h))
+    return [(1,) + rest for rest in combinations(range(2, n + 1), h - 1)]
+
+
+def _poly_product_of_forms(n, hs):
+    """The product of the reduced forms of p_h over h in hs, by Poly.__mul__."""
+    ln = -sum((L(j) for j in range(1, n)), Poly.zero("L"))
+    out = Poly.constant("L", 1)
+    for h in hs:
+        for T in _subsets(n, h):
+            out = out * sum((ln if i == n else L(i) for i in T), Poly.zero("L"))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_p_h_and_q_n_match_poly_products(n):
+    for h in range(1, n // 2 + 1):
+        assert p_h(n, h) == _poly_product_of_forms(n, [h])
+    if n >= 3:
+        assert q_n(n) == _poly_product_of_forms(n, range(1, n // 2 + 1))
+
+
+def test_q6_matches_its_linear_forms_at_integer_points():
+    n = 6
+    q = q_n(n)
+    assert q.is_integral()
+    forms = [T for h in range(1, n // 2 + 1) for T in _subsets(n, h)]
+    assert len(forms) == 31
+    rng = random.Random(6)
+    checked = 0
+    while checked < 4:
+        point = {i: rng.randint(-9, 9) for i in range(1, n)}
+        point[n] = -sum(point.values())
+        expected = math.prod(sum(point[i] for i in T) for T in forms)
+        if not expected:
+            continue  # a vanishing form would make the comparison weak
+        value = sum(
+            int(q.coefficient(ev)) * math.prod(point[i] ** e for i, e in ev.entries)
+            for ev in q.exponents()
+        )
+        assert value == expected
+        checked += 1
 
 
 # ----------------------------------------------------------- leading exponents
