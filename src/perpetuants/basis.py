@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
-from .polycore import ExponentVector, Poly
-from .symfunc import Partition, partitions, partitions_at_most, transition_alpha
-from .umbral import a_monomial_for, derivation_D
+from .polycore import Poly
+from .symfunc import partitions, transition_alpha
+from .umbral import derivation_D, monomial_index, u_tilde
 
 
 @dataclass
@@ -43,24 +42,6 @@ class InvariantElement:
         return json.dumps(self.to_json_dict())
 
 
-@lru_cache(maxsize=None)
-def _u_basis_cached(n, g):
-    alpha = transition_alpha(n, g)
-    out = []
-    for j, k in enumerate(alpha.cols):
-        if k[0] != 0:
-            continue
-        # the row of alpha paired with column index k carries the
-        # m-coefficients of U_k: U_k = sum_h alpha[j][h] a_h
-        poly = Poly.zero("a")
-        for i, h in enumerate(alpha.rows):
-            c = alpha.entries[j][i]
-            if c:
-                poly = poly + a_monomial_for(h, n).scale(c)
-        out.append(InvariantElement(tuple(k[1:]), n, g, poly))
-    return tuple(out)
-
-
 def u_basis(n, g):
     """Basis of S_{n,g} extracted from the potenziante e-expansion.
 
@@ -69,61 +50,37 @@ def u_basis(n, g):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return list(_u_basis_cached(n, g))
-
-
-def a_monomial_basis(n, g, max_var=None):
-    """Monomials of degree n and weight g, one per partition of g with at
-    most n parts (optionally with parts bounded by max_var)."""
-    parts = partitions_at_most(g, n)
-    if max_var is not None:
-        parts = [h for h in parts if not h.parts or h.parts[0] <= max_var]
-    return [a_monomial_for(h, n) for h in parts]
-
-
-def _coefficient_matrix(polys, monomials):
-    index = {}
-    for m in monomials:
-        ev = m.terms()[0][0]
-        index[ev] = len(index)
-    rows = []
-    for p in polys:
-        row = [0] * len(index)
-        for ev, c in p.terms():
-            row[index[ev]] = c
-        rows.append(row)
-    return rows
+    return [
+        InvariantElement(tuple(k[1:]), n, g, u)
+        for k, u in zip(transition_alpha(n, g).cols, u_tilde(n, g))
+        if k[0] == 0
+    ]
 
 
 def kernel_oracle(n, g, max_var=None):
-    """Exact basis of ker(D) on the degree-n weight-g monomial span.
+    """Exact basis of ker(D) on the degree-n weight-g monomial span
+    (optionally only the monomials in a_0..a_max_var).
 
     Brute force: build the matrix of the derivation from the (n,g)
     monomial basis to the (n,g-1) one and extract its null space by
     fraction-free elimination.  Independent of `u_basis` by construction.
     """
-    source = a_monomial_basis(n, g, max_var)
-    if not source:
-        return []
-    if g == 0:
-        return list(source)
-    target = a_monomial_basis(n, g - 1, max_var)
-    index = {m.terms()[0][0]: i for i, m in enumerate(target)}
-    # rows: target monomials, cols: source monomials
-    matrix = [[0] * len(source) for _ in target]
-    for j, m in enumerate(source):
-        image = derivation_D(m)
-        for ev, c in image.terms():
-            matrix[index[ev]][j] += int(c)
+    index = monomial_index(n, g)
+    source = [
+        j
+        for j, ev in enumerate(index.exponents)
+        if max_var is None or all(i <= max_var for i in ev.indices())
+    ]
+    matrix = []
+    if g:
+        # rows: target monomials, cols: source monomials
+        target = monomial_index(n, g - 1)
+        matrix = [[0] * len(source) for _ in target.exponents]
+        for col, j in enumerate(source):
+            for ev, c in derivation_D(index.poly([(j, 1)])).terms():
+                matrix[target.position[ev]][col] = int(c)
     vectors = linalg.nullspace(matrix, ncols=len(source))
-    out = []
-    for vec in vectors:
-        p = Poly.zero("a")
-        for x, m in zip(vec, source):
-            if x:
-                p = p + m.scale(x)
-        out.append(p)
-    return out
+    return [index.poly(zip(source, vec)) for vec in vectors]
 
 
 @dataclass
@@ -157,43 +114,29 @@ def dim_series(n, g_max):
     return DimensionSeries(n, coeffs)
 
 
+def span_rank(polys):
+    """Exact rank of the span of a-polynomials of one common bidegree."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return 0
+    bidegrees = {tuple(p.bidegree()) for p in polys}
+    if len(bidegrees) > 1:
+        raise ValueError(f"mixed bidegrees {sorted(bidegrees)}")
+    index = monomial_index(*bidegrees.pop())
+    return linalg.rank([index.row(p) for p in polys])
+
+
 def span_equal(a_list, b_list):
     """Compare spans of two polynomial lists over one common bidegree.
 
     Returns (equal, rank_a, rank_b, rank_union).
     """
-    polys = [p for p in a_list + b_list if not p.is_zero()]
-    if not polys:
-        return True, 0, 0, 0
-    bidegrees = {tuple(p.bidegree()) for p in polys}
-    if len(bidegrees) > 1:
-        raise ValueError(f"mixed bidegrees {sorted(bidegrees)}")
-    n, g = next(iter(bidegrees))
-    monomials = a_monomial_basis(n, g)
-    mat_a = _coefficient_matrix([p for p in a_list if not p.is_zero()], monomials)
-    mat_b = _coefficient_matrix([p for p in b_list if not p.is_zero()], monomials)
-    rank_a = linalg.rank(mat_a)
-    rank_b = linalg.rank(mat_b)
-    rank_union = linalg.rank(mat_a + mat_b)
+    rank_union = span_rank(a_list + b_list)
+    rank_a, rank_b = span_rank(a_list), span_rank(b_list)
     return rank_a == rank_b == rank_union, rank_a, rank_b, rank_union
-
-
-def span_rank(polys):
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    n, g = next(iter({tuple(p.bidegree()) for p in polys}))
-    monomials = a_monomial_basis(n, g)
-    return linalg.rank(_coefficient_matrix(polys, monomials))
 
 
 def in_span(p, polys):
     """Exact membership of p in the span of polys (same bidegree)."""
-    if p.is_zero():
-        return True
-    polys = [q for q in polys if not q.is_zero()]
-    n, g = tuple(p.bidegree())
-    monomials = a_monomial_basis(n, g)
-    base = _coefficient_matrix(polys, monomials)
-    r = linalg.rank(base)
-    return linalg.rank(base + _coefficient_matrix([p], monomials)) == r
+    polys = list(polys)
+    return p.is_zero() or span_rank(polys + [p]) == span_rank(polys)

@@ -138,8 +138,8 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         if args.n < 3:
             err.write("certificates need n >= 3 (n <= 2 is handled in closed form)\n")
             return 2
-        if args.g is None and args.gmax is None:
-            err.write("give a weight g or --gmax\n")
+        if (args.g is None) == (args.gmax is None):
+            err.write("give either a weight g or --gmax\n")
             return 2
         weights = [args.g] if args.g is not None else range(args.gmax + 1)
         all_ok = True

@@ -179,17 +179,9 @@ def verify_complement(n, g):
     return ComplementCertificate(n, g, total, dim_dec, dim_perp, ok, stroh)
 
 
-def selected_count(n, g, threshold_vec):
-    """Number of indices (k2,...,kn) of weight g dominating a threshold."""
-    count = 0
-    for u in u_basis(n, g):
-        if all(a >= b for a, b in zip(u.k, threshold_vec)):
-            count += 1
-    return count
-
-
 def index_count(n, g, threshold_vec):
-    """Same count but purely combinatorial (no polynomials built)."""
+    """Number of indices (k2,...,kn) of weight g dominating a threshold,
+    counted combinatorially (no polynomials built)."""
 
     def rec(i, remaining, acc):
         if i > n:

@@ -80,14 +80,17 @@ class ExponentVector:
             merged[i] = merged.get(i, 0) + e
         return ExponentVector(merged)
 
+    def lex_key(self):
+        """Key whose tuple order is the `lex_less` order.
+
+        The pairs (-i, e) run in increasing index i, so a vector with a
+        positive exponent at an index that the other lacks sorts higher.
+        """
+        return tuple((-i, e) for i, e in self._entries)
+
     def lex_less(self, other):
         """r < s iff r_k < s_k at the first index where they differ."""
-        keys = sorted(set(self.indices()) | set(other.indices()))
-        for k in keys:
-            a, b = self.get(k), other.get(k)
-            if a != b:
-                return a < b
-        return False
+        return self.lex_key() < other.lex_key()
 
     def dominated_by(self, other):
         """Componentwise r_i <= s_i."""
@@ -325,7 +328,7 @@ class Poly:
         if not isinstance(replacement, Poly):
             replacement = Poly.constant(self.family, replacement)
         self._check(replacement)
-        out = Poly.zero(self.family)
+        out = {}
         powers = {0: Poly.constant(self.family, 1)}
         for ev, c in self._terms.items():
             e = ev.get(index)
@@ -335,8 +338,10 @@ class Poly:
                 for k in range(max(powers) + 1, e + 1):
                     p = p * replacement
                     powers[k] = p
-            out = out + powers[e] * Poly.monomial(self.family, rest, c)
-        return out
+            for pev, pc in powers[e]._terms.items():
+                key = pev * rest
+                out[key] = out.get(key, 0) + pc * c
+        return Poly(self.family, out)
 
     # -- normalization -----------------------------------------------------
 

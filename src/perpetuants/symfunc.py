@@ -372,11 +372,7 @@ def leading_exponent(p):
     """Lexicographically greatest exponent vector with nonzero coefficient."""
     if p.is_zero():
         raise ValueError("zero polynomial has no leading exponent")
-    best = None
-    for ev in p.exponents():
-        if best is None or best.lex_less(ev):
-            best = ev
-    return best
+    return max(p.exponents(), key=ExponentVector.lex_key)
 
 
 def leading_monomial(p):

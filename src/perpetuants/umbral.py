@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .polycore import ExponentVector, Poly
@@ -121,23 +122,25 @@ def umbral_E(m):
     linearly to UmbralPoly.
     """
     if isinstance(m, UmbralMonomial):
-        return _eval_monomial(m.r)
-    out = Poly.zero("a")
+        return Poly.monomial("a", _a_exponent(m.r))
+    out = {}
     for r, c in m.terms.items():
-        out = out + _eval_monomial(r).scale(c)
-    return out
+        ev = _a_exponent(r)
+        out[ev] = out.get(ev, 0) + c
+    return Poly("a", out)
 
 
-def _eval_monomial(r):
+def _a_exponent(parts):
+    """Exponent vector of a_p1 * a_p2 * ..., one factor per entry."""
     exps = {}
-    for x in r:
+    for x in parts:
         exps[x] = exps.get(x, 0) + 1
-    return Poly.monomial("a", ExponentVector(exps))
+    return ExponentVector(exps)
 
 
 def derivation_D(p):
     """The lowering derivation sum_i a_(i-1) d/d a_i, applied exactly."""
-    out = Poly.zero("a")
+    out = {}
     for ev, c in p.terms():
         for i, e in ev.entries:
             if i == 0:
@@ -145,8 +148,9 @@ def derivation_D(p):
             exps = dict(ev.entries)
             exps[i] -= 1
             exps[i - 1] = exps.get(i - 1, 0) + 1
-            out = out + Poly.monomial("a", ExponentVector(exps), c * e)
-    return out
+            key = ExponentVector(exps)
+            out[key] = out.get(key, 0) + c * e
+    return Poly("a", out)
 
 
 def translate(p):
@@ -198,10 +202,54 @@ def a_monomial_for(partition, n):
         padded = partition.padded(n)
     else:
         padded = tuple(partition) + (0,) * (n - len(partition))
-    exps = {}
-    for h in padded:
-        exps[h] = exps.get(h, 0) + 1
-    return Poly.monomial("a", ExponentVector(exps))
+    return Poly.monomial("a", _a_exponent(padded))
+
+
+class MonomialIndex:
+    """The degree-n weight-g a-monomials, one per partition of g with at
+    most n parts, in `partitions_at_most` order (the row order of the
+    transition matrices).
+
+    Every conversion between an a-polynomial of bidegree (n, g) and an
+    integer row over these monomials goes through `row` and `poly`.
+    """
+
+    def __init__(self, n, g):
+        self.exponents = tuple(
+            _a_exponent(h.padded(n)) for h in partitions_at_most(g, n)
+        )
+        self.position = {ev: j for j, ev in enumerate(self.exponents)}
+
+    def row(self, p):
+        """Coefficients of p by position; integral ones as ints."""
+        out = [0] * len(self.exponents)
+        for ev in p.exponents():
+            c = p.coefficient(ev)
+            out[self.position[ev]] = c.numerator if c.denominator == 1 else c
+        return out
+
+    def poly(self, coefficients):
+        """The sum of c times the monomial at position j over (j, c) pairs."""
+        return Poly("a", {self.exponents[j]: c for j, c in coefficients if c})
+
+
+@lru_cache(maxsize=None)
+def monomial_index(n, g):
+    """The cached `MonomialIndex` of bidegree (n, g)."""
+    return MonomialIndex(n, g)
+
+
+@lru_cache(maxsize=None)
+def u_tilde(n, g):
+    """U~_k for every column index k of `transition_alpha(n, g)`, in column order.
+
+    The row of alpha paired with column index k carries the m-coefficients
+    of U~_k: U~_k = sum_h alpha[k][h] a_h.
+    """
+    index = monomial_index(n, g)
+    return tuple(
+        index.poly(enumerate(row)) for row in transition_alpha(n, g).entries
+    )
 
 
 @dataclass
@@ -247,17 +295,7 @@ def potenziante(n, g):
         raise ValueError("need n >= 1 and g >= 0")
     parts = partitions_at_most(g, n)
     rows = [(h, monomial_sum(h, n), a_monomial_for(h, n)) for h in parts]
-    alpha = transition_alpha(n, g)
-    e_rows = []
-    for j, k in enumerate(alpha.cols):
-        # the row of alpha paired with column index k carries the
-        # m-coefficients of U~_k: U~_k = sum_h alpha[j][h] a_h
-        u = Poly.zero("a")
-        for i, h in enumerate(alpha.rows):
-            c = alpha.entries[j][i]
-            if c:
-                u = u + a_monomial_for(h, n).scale(c)
-        e_rows.append((k, u))
+    e_rows = list(zip(transition_alpha(n, g).cols, u_tilde(n, g)))
     return PotenziantExpansion(n, g, rows, e_rows)
 
 

@@ -165,8 +165,12 @@ def test_span_equal_distinct_monomials():
 
 
 def test_span_equal_rejects_mixed_bidegree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed bidegrees"):
         span_equal([a(0) * a(2)], [a(1)])
+    with pytest.raises(ValueError, match="mixed bidegrees"):
+        span_rank([a(0) * a(2), a(1)])
+    with pytest.raises(ValueError, match="mixed bidegrees"):
+        in_span(a(1), [a(0) * a(2)])
 
 
 def test_in_span():

@@ -146,6 +146,7 @@ def test_qn_7_fails_fast_with_its_size(monkeypatch):
         "verify 3 -1",
         "verify 3 --gmax -1",
         "verify 3 --gmax -1 --format json",
+        "verify 3 5 --gmax 7",
     ],
 )
 def test_bad_input_is_one_line_and_exit_2(argv):

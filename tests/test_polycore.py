@@ -42,6 +42,16 @@ def test_exponent_vector_lex_order():
     assert not r.lex_less(r)
 
 
+@given(st.lists(st.integers(0, 3), max_size=6), st.lists(st.integers(0, 3), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_exponent_vector_lex_less_is_sequence_order(r, s):
+    # the definition: compare the exponent sequences read from index 0 on
+    r_ev = ExponentVector(dict(enumerate(r)))
+    s_ev = ExponentVector(dict(enumerate(s)))
+    length = max(len(r), len(s))
+    assert r_ev.lex_less(s_ev) == (r_ev.as_tuple(length) < s_ev.as_tuple(length))
+
+
 def test_exponent_vector_as_tuple():
     ev = ExponentVector({1: 2, 3: 1})
     assert ev.as_tuple(3, first_index=1) == (2, 0, 1)
