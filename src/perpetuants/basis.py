@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from .polycore import Poly
@@ -114,16 +115,26 @@ def dim_series(n, g_max):
     return DimensionSeries(n, coeffs)
 
 
-def span_rank(polys):
-    """Exact rank of the span of a-polynomials of one common bidegree."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    bidegrees = {tuple(p.bidegree()) for p in polys}
+def span_ranks(*groups):
+    """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
+    for a-polynomials of one common bidegree, from one elimination."""
+    tagged = [(k, p) for k, group in enumerate(groups) for p in group if not p.is_zero()]
+    if not tagged:
+        return [0] * len(groups)
+    bidegrees = {tuple(p.bidegree()) for _, p in tagged}
     if len(bidegrees) > 1:
         raise ValueError(f"mixed bidegrees {sorted(bidegrees)}")
     index = monomial_index(*bidegrees.pop())
-    return linalg.rank([index.row(p) for p in polys])
+    pivot_rows = linalg.bareiss_echelon([index.row(p) for _, p in tagged])[2]
+    counts = [0] * len(groups)
+    for i in pivot_rows:
+        counts[tagged[i][0]] += 1
+    return list(accumulate(counts))
+
+
+def span_rank(polys):
+    """Exact rank of the span of a-polynomials of one common bidegree."""
+    return span_ranks(polys)[0]
 
 
 def span_equal(a_list, b_list):
@@ -131,12 +142,12 @@ def span_equal(a_list, b_list):
 
     Returns (equal, rank_a, rank_b, rank_union).
     """
-    rank_union = span_rank(a_list + b_list)
-    rank_a, rank_b = span_rank(a_list), span_rank(b_list)
+    rank_a, rank_union = span_ranks(a_list, b_list)
+    rank_b = span_rank(b_list)
     return rank_a == rank_b == rank_union, rank_a, rank_b, rank_union
 
 
 def in_span(p, polys):
     """Exact membership of p in the span of polys (same bidegree)."""
-    polys = list(polys)
-    return p.is_zero() or span_rank(polys + [p]) == span_rank(polys)
+    rank, rank_with_p = span_ranks(polys, [p])
+    return rank == rank_with_p

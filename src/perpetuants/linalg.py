@@ -26,15 +26,20 @@ def _integer_rows(matrix):
 def bareiss_echelon(matrix):
     """Fraction-free forward elimination.
 
-    Returns (rows, pivot_cols): an upper echelon integer matrix and the
-    list of pivot column indices.  Division by the previous pivot is exact
-    (Bareiss), also in the presence of row swaps.
+    Returns (rows, pivot_cols, pivot_rows): an upper echelon integer
+    matrix, the pivot column indices, and for each pivot the index of the
+    input row it came from.  A pivot row is moved up, not swapped, so the
+    rows below it keep their input order; input row i is then in
+    `pivot_rows` exactly when it is not in the span of rows 0..i-1.
+    Division by the previous pivot is exact (Bareiss), since each entry
+    stays a minor of the input.
     """
     rows = _integer_rows(matrix)
     if not rows:
-        return [], []
+        return [], [], []
     ncols = len(rows[0])
     nrows = len(rows)
+    order = list(range(nrows))
     prev = 1
     pivot_cols = []
     r = 0
@@ -49,7 +54,8 @@ def bareiss_echelon(matrix):
         if pivot is None:
             continue
         if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+            rows.insert(r, rows.pop(pivot))
+            order.insert(r, order.pop(pivot))
         p = rows[r][c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
@@ -60,7 +66,7 @@ def bareiss_echelon(matrix):
         prev = p
         pivot_cols.append(c)
         r += 1
-    return rows, pivot_cols
+    return rows, pivot_cols, order[:r]
 
 
 def rank(matrix):
@@ -69,61 +75,43 @@ def rank(matrix):
     return len(bareiss_echelon(matrix)[1])
 
 
-def _back_substitute(rows, pivot_cols, rhs_free):
-    """Solve the echelon system for given free-variable assignments.
-
-    `rhs_free` maps column index -> value for free columns; pivot columns
-    are solved bottom-up over Fractions so that all rows vanish.
-    """
-    ncols = len(rows[0]) if rows else 0
-    sol = [Fraction(0)] * ncols
-    for c, v in rhs_free.items():
-        sol[c] = Fraction(v)
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        c = pivot_cols[r]
-        s = Fraction(0)
-        for j in range(c + 1, ncols):
-            if rows[r][j] and sol[j]:
-                s += rows[r][j] * sol[j]
-        sol[c] = -s / rows[r][c]
-    return sol
-
-
-def _primitive_int_vector(vec):
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
-
-
 def nullspace(matrix, ncols=None):
-    """Primitive integer basis of {x : M x = 0}, one vector per free column."""
+    """Primitive integer basis of {x : M x = 0}, one vector per free column.
+
+    Each vector is solved in integers with its free entry set to the last
+    pivot, the determinant of the pivot block: by Cramer's rule every
+    pivot entry is then an integer, so each division is exact.  The vector
+    is zero on the other free columns, divided by its content and signed
+    so that its first nonzero entry is positive.
+    """
     if not matrix:
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return [
             [1 if j == f else 0 for j in range(ncols)] for f in range(ncols)
         ]
-    rows, pivot_cols = bareiss_echelon(matrix)
+    rows, pivot_cols, _ = bareiss_echelon(matrix)
     ncols = len(rows[0])
+    det = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     pivots = set(pivot_cols)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        sol = _back_substitute(rows, pivot_cols, {f: 1})
-        basis.append(_primitive_int_vector(sol))
+        sol = [0] * ncols
+        sol[f] = det
+        for r in range(len(pivot_cols) - 1, -1, -1):
+            c = pivot_cols[r]
+            row = rows[r]
+            s = sum(row[j] * sol[j] for j in range(c + 1, ncols) if sol[j])
+            q, rem = divmod(-s, row[c])
+            if rem:
+                raise AssertionError(f"inexact division in null space column {f}")
+            sol[c] = q
+        g = gcd(*sol)
+        if next(x for x in sol if x) < 0:
+            g = -g
+        basis.append([x // g for x in sol])
     return basis
 
 
@@ -139,7 +127,7 @@ def invert(matrix):
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    rows, pivot_cols = bareiss_echelon(aug)
+    rows, pivot_cols, _ = bareiss_echelon(aug)
     # pivots must all fall in the left block
     if len([c for c in pivot_cols if c < n]) != n:
         raise ValueError("matrix is singular")

@@ -17,10 +17,10 @@ from .basis import (
     in_span,
     kernel_oracle,
     span_rank,
+    span_ranks,
     u_basis,
 )
 from .polycore import ExponentVector, Poly
-from .symfunc import eindex_weight
 
 
 def stroh_series(n, g_max):
@@ -167,11 +167,9 @@ def verify_complement(n, g):
     total = len(kernel_oracle(n, g))
     dec = decomposable_span(n, g)
     perp = perpetuant_basis(n, g)
-    dim_dec = span_rank(dec)
+    dim_dec, union_rank = span_ranks(dec, [u.poly for u in perp])
     dim_perp = len(perp)
     stroh = stroh_series(n, g)[g]
-    combined = dec + [u.poly for u in perp]
-    union_rank = span_rank(combined)
     ok = (
         union_rank == dim_dec + dim_perp == total
         and dim_perp == stroh
@@ -183,18 +181,18 @@ def index_count(n, g, threshold_vec):
     """Number of indices (k2,...,kn) of weight g dominating a threshold,
     counted combinatorially (no polynomials built)."""
 
-    def rec(i, remaining, acc):
+    def rec(i, remaining):
         if i > n:
             return 1 if remaining == 0 else 0
         total = 0
         lo = threshold_vec[i - 2]
         k = lo
         while i * k <= remaining:
-            total += rec(i + 1, remaining - i * k, acc)
+            total += rec(i + 1, remaining - i * k)
             k += 1
         return total
 
-    return rec(2, g, None)
+    return rec(2, g)
 
 
 def basis_subset_spans_decomposable(n, g):

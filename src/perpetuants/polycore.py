@@ -92,10 +92,6 @@ class ExponentVector:
         """r < s iff r_k < s_k at the first index where they differ."""
         return self.lex_key() < other.lex_key()
 
-    def dominated_by(self, other):
-        """Componentwise r_i <= s_i."""
-        return all(e <= other.get(i) for i, e in self._entries)
-
     def as_tuple(self, length, first_index=0):
         out = [0] * length
         for i, e in self._entries:

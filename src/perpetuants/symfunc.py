@@ -116,10 +116,6 @@ def e_indices(n, g):
     return out
 
 
-def eindex_weight(k):
-    return sum((i + 1) * ki for i, ki in enumerate(k))
-
-
 def monomial_sum(h, n):
     """m_h(L1,...,Ln): the orbit sum of L1^h1 * ... * Ln^hn."""
     if isinstance(h, Partition):

@@ -14,7 +14,7 @@ from perpetuants import (
     span_equal,
     u_basis,
 )
-from perpetuants.basis import in_span, span_rank
+from perpetuants.basis import in_span, span_rank, span_ranks
 
 
 def a(i):
@@ -171,6 +171,22 @@ def test_span_equal_rejects_mixed_bidegree():
         span_rank([a(0) * a(2), a(1)])
     with pytest.raises(ValueError, match="mixed bidegrees"):
         in_span(a(1), [a(0) * a(2)])
+    with pytest.raises(ValueError, match="mixed bidegrees"):
+        span_ranks([a(0) * a(2)], [], [a(1)])
+
+
+def test_span_ranks_are_ranks_of_growing_unions():
+    zero = Poly.zero("a")
+    basis = [u.poly for u in u_basis(4, 6)]
+    outside = a(0) * a(1) * a(2) * a(3)
+    groups = [[zero, kernel_oracle(4, 6)[0]], [zero], basis + [zero, outside]]
+    union, expected = [], []
+    for group in groups:
+        union = union + group
+        expected.append(span_rank(union))
+    assert span_ranks(*groups) == expected == [1, 1, 4]
+    assert span_ranks([zero], [zero]) == [0, 0]
+    assert span_ranks() == []
 
 
 def test_in_span():

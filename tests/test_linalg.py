@@ -1,6 +1,7 @@
 """Fraction-free elimination: rank, nullspace and exact inversion."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,8 +42,6 @@ def test_nullspace_vectors_are_primitive_kernel_elements():
     for v in vecs:
         for row in m:
             assert sum(x * y for x, y in zip(row, v)) == 0
-        from math import gcd
-
         g = 0
         for x in v:
             g = gcd(g, x)
@@ -99,3 +98,50 @@ def test_rank_of_invertible_is_full(m):
     assert linalg.rank(m) == len(m)
     # duplicating rows never raises the rank
     assert linalg.rank(m + m) == len(m)
+
+
+def test_row_rank_profile_keeps_input_order():
+    # swapping rows 0 and 2 for the first pivot would report rows {1, 2}
+    assert sorted(linalg.bareiss_echelon([[0, 1], [0, 1], [1, 0]])[2]) == [0, 2]
+
+
+@st.composite
+def profile_matrices(draw):
+    # zero rows, integer combinations of earlier rows and some rational rows
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    m = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "combination" and m:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            x, y = draw(entry), draw(entry)
+            row = [x * u + y * v for u, v in zip(a, b)]
+        else:
+            row = [draw(entry) for _ in range(ncols)]
+        if draw(st.booleans()) and draw(st.booleans()):
+            den = draw(st.integers(2, 4))
+            row = [Fraction(v, den) for v in row]
+        m.append(row)
+    return m
+
+
+@given(profile_matrices())
+@settings(max_examples=200, deadline=None)
+def test_echelon_profile_and_integer_nullspace(m):
+    ncols = len(m[0])
+    _, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
+    assert sorted(pivot_rows) == [
+        i for i in range(len(m)) if linalg.rank(m[: i + 1]) > linalg.rank(m[:i])
+    ]
+    vecs = linalg.nullspace(m)
+    assert len(vecs) == ncols - linalg.rank(m)
+    free = [c for c in range(ncols) if c not in pivot_cols]
+    for f, v in zip(free, vecs):
+        for row in m:
+            assert sum(x * y for x, y in zip(row, v)) == 0
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+        assert [v[c] != 0 for c in free] == [c == f for c in free]
