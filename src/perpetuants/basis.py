@@ -125,7 +125,13 @@ def span_ranks(*groups):
     if len(bidegrees) > 1:
         raise ValueError(f"mixed bidegrees {sorted(bidegrees)}")
     index = monomial_index(*bidegrees.pop())
-    pivot_rows = linalg.bareiss_echelon([index.row(p) for _, p in tagged])[2]
+    rows = [index.row(p) for _, p in tagged]
+    # The row rank profile does not depend on the column order.  Sparsest
+    # columns first: each free column of a null space basis holds a single
+    # nonzero, so its pivot updates only the rows that use that vector.
+    nonzeros = [len(col) - col.count(0) for col in zip(*rows)]
+    order = sorted(range(len(nonzeros)), key=nonzeros.__getitem__)
+    pivot_rows = linalg.bareiss_echelon([[row[j] for j in order] for row in rows])[2]
     counts = [0] * len(groups)
     for i in pivot_rows:
         counts[tagged[i][0]] += 1

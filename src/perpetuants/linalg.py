@@ -8,19 +8,22 @@ with a nonzero entry in the current column, so results are reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
-def _integer_rows(matrix):
+def _sparse_integer_rows(matrix):
     out = []
     for row in matrix:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = lcm(den, x.denominator)
-        out.append([int(x * den) for x in row])
+        entries = {j: x for j, x in enumerate(row) if x}
+        den = lcm(*(x.denominator for x in entries.values()))
+        out.append({j: int(x * den) for j, x in entries.items()})
     return out
+
+
+def _brought_up_to(row, stamp, prev):
+    if stamp == prev:
+        return row
+    return {j: x * prev // stamp for j, x in row.items()}
 
 
 def bareiss_echelon(matrix):
@@ -33,40 +36,63 @@ def bareiss_echelon(matrix):
     `pivot_rows` exactly when it is not in the span of rows 0..i-1.
     Division by the previous pivot is exact (Bareiss), since each entry
     stays a minor of the input.
+
+    Rows are held as {column: entry} dicts, and the rows not yet used as
+    pivots are bucketed by their leading column, so a pivot updates only
+    the rows with a nonzero entry in its column.  A row that a pivot skips
+    would only be scaled by p / prev; those factors telescope, so each row
+    keeps the pivot of its last update (its stamp) and is brought up to
+    date, as x * prev // stamp, when it is next touched.  The result is
+    again a minor of the input, so that division is exact too, and the
+    returned rows equal those of the dense loop entry for entry.
     """
-    rows = _integer_rows(matrix)
-    if not rows:
+    sparse = _sparse_integer_rows(matrix)
+    if not sparse:
         return [], [], []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    order = list(range(nrows))
+    ncols = len(matrix[0])
+    stamps = [1] * len(sparse)
+    below = {}  # leading column -> input indices of rows not yet pivots
+    for i, row in enumerate(sparse):
+        if row:
+            below.setdefault(min(row), []).append(i)
     prev = 1
     pivot_cols = []
-    r = 0
+    pivot_rows = []
     for c in range(ncols):
-        if r >= nrows:
+        if not below:
             break
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        bucket = below.pop(c, None)
+        if bucket is None:
             continue
-        if pivot != r:
-            rows.insert(r, rows.pop(pivot))
-            order.insert(r, order.pop(pivot))
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c, ncols):
-                row_i[j] = (p * row_i[j] - ric * row_r[j]) // prev
+        pivot = min(bucket)
+        pivot_row = _brought_up_to(sparse[pivot], stamps[pivot], prev)
+        sparse[pivot] = pivot_row
+        p = pivot_row[c]
+        for i in bucket:
+            if i == pivot:
+                continue
+            row = _brought_up_to(sparse[i], stamps[i], prev)
+            ric = row[c]
+            update = {j: p * x for j, x in row.items()}
+            for j, y in pivot_row.items():
+                update[j] = update.get(j, 0) - ric * y
+            row = {j: x // prev for j, x in update.items() if x}
+            sparse[i] = row
+            stamps[i] = p
+            if row:
+                below.setdefault(min(row), []).append(i)
         prev = p
         pivot_cols.append(c)
-        r += 1
-    return rows, pivot_cols, order[:r]
+        pivot_rows.append(pivot)
+    # every row that is not a pivot row has been reduced to zero
+    rows = []
+    for i in pivot_rows:
+        row = [0] * ncols
+        for j, x in sparse[i].items():
+            row[j] = x
+        rows.append(row)
+    rows.extend([0] * ncols for _ in range(len(sparse) - len(pivot_rows)))
+    return rows, pivot_cols, pivot_rows
 
 
 def rank(matrix):
@@ -94,6 +120,10 @@ def nullspace(matrix, ncols=None):
     ncols = len(rows[0])
     det = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     pivots = set(pivot_cols)
+    tails = [
+        [(j, row[j]) for j in range(c + 1, ncols) if row[j]]
+        for row, c in zip(rows, pivot_cols)
+    ]
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -102,9 +132,8 @@ def nullspace(matrix, ncols=None):
         sol[f] = det
         for r in range(len(pivot_cols) - 1, -1, -1):
             c = pivot_cols[r]
-            row = rows[r]
-            s = sum(row[j] * sol[j] for j in range(c + 1, ncols) if sol[j])
-            q, rem = divmod(-s, row[c])
+            s = sum(x * sol[j] for j, x in tails[r])
+            q, rem = divmod(-s, rows[r][c])
             if rem:
                 raise AssertionError(f"inexact division in null space column {f}")
             sol[c] = q
@@ -113,49 +142,3 @@ def nullspace(matrix, ncols=None):
             g = -g
         basis.append([x // g for x in sol])
     return basis
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix, entries as Fractions.
-
-    Forward phase is fraction-free on the matrix augmented with the
-    identity; the solve phase back-substitutes each unit column.  Kept
-    as the general reference that the tests compare the transition
-    matrices' forward substitution against.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    rows, pivot_cols, _ = bareiss_echelon(aug)
-    # pivots must all fall in the left block
-    if len([c for c in pivot_cols if c < n]) != n:
-        raise ValueError("matrix is singular")
-    inverse_cols = []
-    left = [row[:n] for row in rows]
-    for j in range(n):
-        rhs = [Fraction(row[n + j]) for row in rows]
-        # solve left * x = -rhs shifted: rows are [L | R], L x + R e_j = 0
-        # treat augmented columns as knowns
-        sol = [Fraction(0)] * n
-        for r in range(n - 1, -1, -1):
-            c = pivot_cols[r]
-            s = rhs[r]
-            for k in range(c + 1, n):
-                if left[r][k] and sol[k]:
-                    s += left[r][k] * sol[k]
-            sol[c] = -s / left[r][c]
-        inverse_cols.append(sol)
-    # columns of the inverse of M are the solutions of M x = e_j, but the
-    # elimination solved M x + e_j = 0; flip the sign.
-    return [[-inverse_cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]

@@ -14,9 +14,8 @@ from fractions import Fraction
 from .basis import (
     DimensionSeries,
     dim_series,
-    in_span,
     kernel_oracle,
-    span_rank,
+    span_rank,  # noqa: F401  no caller here; perfbench's binding-site test wraps it
     span_ranks,
     u_basis,
 )
@@ -193,14 +192,3 @@ def index_count(n, g, threshold_vec):
         return total
 
     return rec(2, g)
-
-
-def basis_subset_spans_decomposable(n, g):
-    """Whether the u_basis elements lying inside the decomposable span are
-    enough to span it.  Recorded as data; no claim either way."""
-    dec = decomposable_span(n, g)
-    dim_dec = span_rank(dec)
-    if dim_dec == 0:
-        return True
-    inside = [u.poly for u in u_basis(n, g) if in_span(u.poly, dec)]
-    return span_rank(inside) == dim_dec

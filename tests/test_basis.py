@@ -128,6 +128,14 @@ def test_basis_matches_oracle(n):
         assert equal and ra == series[g]
 
 
+@pytest.mark.slow
+def test_kernel_oracle_first_degree6_perpetuant_cell():
+    # (6,31) holds the first degree-6 perpetuant: weight 2^5 - 1
+    kernel = kernel_oracle(6, 31)
+    assert len(kernel) == dim_series(6, 31)[31] == 154
+    assert all(derivation_D(p).is_zero() for p in kernel)
+
+
 # -------------------------------------------------------------- dimension series
 
 

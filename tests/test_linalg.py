@@ -1,12 +1,57 @@
 """Fraction-free elimination: rank, nullspace and exact inversion."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg_reference import invert, matmul
 
 from perpetuants import linalg
+
+
+def dense_bareiss_echelon(matrix):
+    """The dense elimination loop, the reference for `linalg.bareiss_echelon`:
+    every pivot updates every row below it."""
+    rows = []
+    for row in matrix:
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction) and x.denominator != 1:
+                den = lcm(den, x.denominator)
+        rows.append([int(x * den) for x in row])
+    if not rows:
+        return [], [], []
+    ncols = len(rows[0])
+    nrows = len(rows)
+    order = list(range(nrows))
+    prev = 1
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows.insert(r, rows.pop(pivot))
+            order.insert(r, order.pop(pivot))
+        p = rows[r][c]
+        for i in range(r + 1, nrows):
+            ric = rows[i][c]
+            row_i = rows[i]
+            row_r = rows[r]
+            for j in range(c, ncols):
+                row_i[j] = (p * row_i[j] - ric * row_r[j]) // prev
+        prev = p
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols, order[:r]
 
 
 def test_rank_examples():
@@ -49,7 +94,7 @@ def test_nullspace_vectors_are_primitive_kernel_elements():
 
 
 def test_invert_known_matrix():
-    inv = linalg.invert([[1, 0, 0], [3, 1, 0], [6, 3, 1]])
+    inv = invert([[1, 0, 0], [3, 1, 0], [6, 3, 1]])
     assert inv == [
         [Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(-3), Fraction(1), Fraction(0)],
@@ -58,14 +103,14 @@ def test_invert_known_matrix():
 
 
 def test_invert_two_by_two():
-    inv = linalg.invert([[1, 0], [2, 1]])
+    inv = invert([[1, 0], [2, 1]])
     assert inv == [[Fraction(1), Fraction(0)], [Fraction(-2), Fraction(1)]]
 
 
 def test_matmul():
     m = [[1, 2], [3, 4]]
     ident = [[1, 0], [0, 1]]
-    assert linalg.matmul(m, ident) == [
+    assert matmul(m, ident) == [
         [Fraction(1), Fraction(2)],
         [Fraction(3), Fraction(4)],
     ]
@@ -79,15 +124,15 @@ def unimodular(draw):
     entry = st.integers(-4, 4)
     lo = [[1 if i == j else (draw(entry) if i > j else 0) for j in range(n)] for i in range(n)]
     up = [[1 if i == j else (draw(entry) if i < j else 0) for j in range(n)] for i in range(n)]
-    return linalg.matmul(lo, up)
+    return matmul(lo, up)
 
 
 @given(unimodular())
 @settings(max_examples=40, deadline=None)
 def test_invert_times_original_is_identity(m):
     n = len(m)
-    inv = linalg.invert(m)
-    prod = linalg.matmul(inv, m)
+    inv = invert(m)
+    prod = matmul(inv, m)
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     assert prod == ident
 
@@ -145,3 +190,61 @@ def test_echelon_profile_and_integer_nullspace(m):
         assert gcd(*v) == 1
         assert next(x for x in v if x) > 0
         assert [v[c] != 0 for c in free] == [c == f for c in free]
+
+
+def test_rows_skipped_by_pivots_are_brought_up_to_date():
+    # rows 1..3 are zero in every earlier pivot column, so each is scaled
+    # only when it becomes a pivot: the last one by 30 / 1, to the
+    # determinant 2 * 3 * 5 * 7
+    m = [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1], [0, 0, 0, 7]]
+    rows, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
+    assert rows == [[2, 1, 0, 0], [0, 6, 2, 0], [0, 0, 30, 6], [0, 0, 0, 210]]
+    assert (rows, pivot_cols, pivot_rows) == dense_bareiss_echelon(m)
+
+
+@st.composite
+def sparse_matrices(draw):
+    # mostly-zero rows that lead late (untouched by several pivots), dense
+    # rows, zero rows, combinations of earlier rows, a zero column and
+    # some rational rows
+    ncols = draw(st.integers(1, 7))
+    zero_col = draw(st.one_of(st.none(), st.integers(0, ncols - 1)))
+    entry = st.integers(-3, 3)
+    m = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["sparse", "late", "dense", "zero", "combination"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "combination" and m:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            x, y = draw(entry), draw(entry)
+            row = [x * u + y * v for u, v in zip(a, b)]
+        elif kind == "dense":
+            row = [draw(entry) for _ in range(ncols)]
+        else:
+            lead = draw(st.integers(0, ncols - 1)) if kind == "late" else 0
+            row = [0 if j < lead or draw(st.integers(0, 2)) else draw(entry) for j in range(ncols)]
+        if zero_col is not None:
+            row[zero_col] = 0
+        if draw(st.integers(0, 3)) == 0:
+            den = draw(st.integers(2, 4))
+            row = [Fraction(v, den) for v in row]
+        m.append(row)
+    return m
+
+
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_echelon_equals_dense_loop(m):
+    rows, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
+    assert (rows, pivot_cols, pivot_rows) == dense_bareiss_echelon(m)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_row_rank_profile_ignores_column_order(m, rnd):
+    order = list(range(len(m[0])))
+    rnd.shuffle(order)
+    permuted = [[row[j] for j in order] for row in m]
+    assert set(linalg.bareiss_echelon(permuted)[2]) == set(linalg.bareiss_echelon(m)[2])

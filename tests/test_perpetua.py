@@ -18,7 +18,7 @@ from perpetuants import (
     verify_complement,
 )
 from perpetuants.basis import span_rank
-from perpetuants.perpetua import basis_subset_spans_decomposable, index_count
+from perpetuants.perpetua import index_count
 
 
 def a(i):
@@ -221,18 +221,3 @@ def test_perturbed_threshold_undercounts(n):
                 break
         assert first_bad is not None
         assert index_count(n, first_bad, bumped) < stroh[first_bad]
-
-
-# -------------------------------------------------------------- recorded data
-
-
-def test_basis_subset_span_of_decomposables_recorded():
-    # whether some subset of the basis spans the decomposable part is an
-    # open observation; freeze what this implementation computes so any
-    # drift is visible
-    observed = {
-        (n, g): basis_subset_spans_decomposable(n, g)
-        for n, g in [(3, 6), (3, 8), (4, 6), (4, 8)]
-    }
-    for value in observed.values():
-        assert isinstance(value, bool)
