@@ -26,7 +26,7 @@ from .perpetua import (
     threshold,
     verify_complement,
 )
-from .polycore import BiDegree, BiDegreeError, ExponentVector, FamilyMismatchError, Poly
+from .polycore import BiDegreeError, ExponentVector, FamilyMismatchError, Poly
 from .symfunc import (
     Partition,
     TransitionMatrix,

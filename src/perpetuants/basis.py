@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import linalg
-from .polycore import Poly
+from .polycore import FamilyMismatchError, Poly
 from .symfunc import partitions, transition_alpha
 from .umbral import derivation_D, monomial_index, u_tilde
 
@@ -76,10 +76,8 @@ def kernel_oracle(n, g, max_var=None):
     if g:
         # rows: target monomials, cols: source monomials
         target = monomial_index(n, g - 1)
-        matrix = [[0] * len(source) for _ in target.exponents]
-        for col, j in enumerate(source):
-            for ev, c in derivation_D(index.poly([(j, 1)])).terms():
-                matrix[target.position[ev]][col] = int(c)
+        columns = [target.row(derivation_D(index.poly([(j, 1)]))) for j in source]
+        matrix = [list(row) for row in zip(*columns)]
     vectors = linalg.nullspace(matrix, ncols=len(source))
     return [index.poly(zip(source, vec)) for vec in vectors]
 
@@ -121,10 +119,11 @@ def span_ranks(*groups):
     tagged = [(k, p) for k, group in enumerate(groups) for p in group if not p.is_zero()]
     if not tagged:
         return [0] * len(groups)
-    bidegrees = {tuple(p.bidegree()) for _, p in tagged}
-    if len(bidegrees) > 1:
-        raise ValueError(f"mixed bidegrees {sorted(bidegrees)}")
-    index = monomial_index(*bidegrees.pop())
+    for _, p in tagged:
+        if p.family != "a":
+            raise FamilyMismatchError("span ranks are defined for a-polynomials")
+    first = next(iter(tagged[0][1].exponents()))
+    index = monomial_index(first.degree(), first.weight())
     rows = [index.row(p) for _, p in tagged]
     # The row rank profile does not depend on the column order.  Sparsest
     # columns first: each free column of a null space basis holds a single

@@ -62,7 +62,7 @@ def c_k(k):
 def divide_by_a0_power(p, power):
     """Exact quotient p / a0^power; raises if some term is not divisible."""
     terms = []
-    for ev, c in p.terms():
+    for ev in p.exponents():
         e0 = ev.get(0)
         if e0 < power:
             raise ArithmeticError(
@@ -71,7 +71,7 @@ def divide_by_a0_power(p, power):
         exps = {i: e for i, e in ev.entries if i != 0}
         if e0 > power:
             exps[0] = e0 - power
-        terms.append((ExponentVector(exps), c))
+        terms.append((ExponentVector(exps), p.coefficient(ev)))
     return Poly("a", terms)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .basis import (
     DimensionSeries,
@@ -100,8 +99,8 @@ def degree2_perpetuant(g):
     terms = []
     for j in range(h):
         sign = 1 if j % 2 == 0 else -1
-        terms.append((ExponentVector({j: 1, g - j: 1}), Fraction(2 * sign)))
-    terms.append((ExponentVector({h: 2}), Fraction((-1) ** h)))
+        terms.append((ExponentVector({j: 1, g - j: 1}), 2 * sign))
+    terms.append((ExponentVector({h: 2}), (-1) ** h))
     return Poly("a", terms)
 
 

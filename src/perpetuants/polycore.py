@@ -5,8 +5,11 @@ Two variable families are supported:
   * family "a": coefficient variables a0, a1, a2, ... (indexed from 0),
   * family "L": lambda variables L1, L2, ... (indexed from 1).
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`),
-always stored in lowest terms, and zero coefficients are never stored.
+Coefficients are exact rationals under one rule: an integral coefficient
+is stored as a Python `int`, any other as a `fractions.Fraction` in lowest
+terms, and zero coefficients are never stored.  The a-polynomials of the
+certificate are integral, so `Fraction` arises only where a division makes
+one (translation, umbral products, c_k, primitive parts and parsing).
 All values are immutable; every operation returns a new object.
 """
 
@@ -111,34 +114,6 @@ class ExponentVector:
         return f"ExponentVector({dict(self._entries)!r})"
 
 
-class BiDegree:
-    """Degree n and weight g of a homogeneous-isobaric a-polynomial."""
-
-    __slots__ = ("degree", "weight")
-
-    def __init__(self, degree, weight):
-        if degree < 0 or weight < 0:
-            raise ValueError("degree and weight must be nonnegative")
-        self.degree = degree
-        self.weight = weight
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiDegree)
-            and self.degree == other.degree
-            and self.weight == other.weight
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.weight))
-
-    def __iter__(self):
-        return iter((self.degree, self.weight))
-
-    def __repr__(self):
-        return f"BiDegree({self.degree}, {self.weight})"
-
-
 def _canon_key(ev):
     # Graded order for printing/iteration: total degree first, then the
     # exponent of the lowest-indexed variable, descending.
@@ -152,8 +127,17 @@ def _canon_key(ev):
 _FAMILIES = ("a", "L")
 
 
+def _exact(c):
+    """The coefficient rule: an integral value as an int, any other as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
 class Poly:
-    """Sparse polynomial over one variable family with rational coefficients."""
+    """Sparse polynomial over one variable family with exact rational coefficients."""
 
     __slots__ = ("family", "_terms")
 
@@ -166,7 +150,7 @@ class Poly:
                 ev = ExponentVector(ev)
             if family == "L" and ev.entries and ev.entries[0][0] == 0:
                 raise ValueError("L-variables are indexed from 1")
-            c = Fraction(c) + collected.get(ev, 0)
+            c = _exact(_exact(c) + collected.get(ev, 0))
             if c:
                 collected[ev] = c
             elif ev in collected:
@@ -182,15 +166,15 @@ class Poly:
 
     @classmethod
     def constant(cls, family, c):
-        return cls(family, [(ExponentVector(), Fraction(c))])
+        return cls(family, [(ExponentVector(), c)])
 
     @classmethod
     def variable(cls, family, index):
-        return cls(family, [(ExponentVector({index: 1}), Fraction(1))])
+        return cls(family, [(ExponentVector({index: 1}), 1)])
 
     @classmethod
     def monomial(cls, family, ev, coeff=1):
-        return cls(family, [(ev, Fraction(coeff))])
+        return cls(family, [(ev, coeff)])
 
     # -- inspection --------------------------------------------------------
 
@@ -206,7 +190,7 @@ class Poly:
         return self._terms.keys()
 
     def coefficient(self, ev):
-        return self._terms.get(ev, Fraction(0))
+        return self._terms.get(ev, 0)
 
     def __len__(self):
         return len(self._terms)
@@ -234,7 +218,7 @@ class Poly:
                 raise BiDegreeError(
                     f"mixed weight {g} vs {ev.weight()}", first, ev
                 )
-        return BiDegree(n, g)
+        return n, g
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self._terms.values())
@@ -292,7 +276,7 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Poly.zero(self.family)
         return Poly(self.family, {ev: c * k for ev, k in self._terms.items()})
@@ -387,7 +371,7 @@ class Poly:
     def to_json_dict(self):
         terms = []
         for ev, c in self.terms():
-            entry = {"c": str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"}
+            entry = {"c": str(c)}
             entry["e"] = {str(i): e for i, e in ev.entries}
             terms.append(entry)
         return {"family": self.family, "terms": terms}

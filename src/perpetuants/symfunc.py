@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -127,7 +126,7 @@ def monomial_sum(h, n):
     terms = {}
     for perm in set(permutations(padded)):
         ev = ExponentVector({i + 1: e for i, e in enumerate(perm) if e})
-        terms[ev] = Fraction(1)
+        terms[ev] = 1
     return Poly("L", terms)
 
 
@@ -140,7 +139,7 @@ def elementary(i, n):
         return Poly.zero("L")
     terms = {}
     for combo in combinations(range(1, n + 1), i):
-        terms[ExponentVector({j: 1 for j in combo})] = Fraction(1)
+        terms[ExponentVector({j: 1 for j in combo})] = 1
     return Poly("L", terms)
 
 
@@ -309,8 +308,7 @@ def _expand_forms(forms, n):
 
     Each monomial is one packed int with L1 in the highest field.  No
     exponent exceeds the number of factors, so fields wide enough to hold
-    that number never carry; coefficients stay ints until the single
-    conversion at the end.
+    that number never carry.
     """
     forms = list(forms)
     width = len(forms).bit_length()

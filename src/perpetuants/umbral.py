@@ -141,7 +141,8 @@ def _a_exponent(parts):
 def derivation_D(p):
     """The lowering derivation sum_i a_(i-1) d/d a_i, applied exactly."""
     out = {}
-    for ev, c in p.terms():
+    for ev in p.exponents():
+        c = p.coefficient(ev)
         for i, e in ev.entries:
             if i == 0:
                 continue
@@ -172,8 +173,8 @@ def translate(p):
         return images[k]
 
     total = {0: Poly.zero("a")}
-    for ev, c in p.terms():
-        term = {0: Poly.constant("a", c)}
+    for ev in p.exponents():
+        term = {0: Poly.constant("a", p.coefficient(ev))}
         for i, e in ev.entries:
             img = var_image(i)
             for _ in range(e):
@@ -215,17 +216,27 @@ class MonomialIndex:
     """
 
     def __init__(self, n, g):
+        self.bidegree = (n, g)
         self.exponents = tuple(
             _a_exponent(h.padded(n)) for h in partitions_at_most(g, n)
         )
         self.position = {ev: j for j, ev in enumerate(self.exponents)}
 
     def row(self, p):
-        """Coefficients of p by position; integral ones as ints."""
+        """Coefficients of p by position.
+
+        Raises ValueError, naming the monomial, when p has a term of
+        another bidegree.
+        """
         out = [0] * len(self.exponents)
         for ev in p.exponents():
-            c = p.coefficient(ev)
-            out[self.position[ev]] = c.numerator if c.denominator == 1 else c
+            j = self.position.get(ev)
+            if j is None:
+                raise ValueError(
+                    f"mixed bidegrees: {Poly.monomial('a', ev)} is not of "
+                    f"bidegree {self.bidegree}"
+                )
+            out[j] = p.coefficient(ev)
         return out
 
     def poly(self, coefficients):
@@ -353,8 +364,8 @@ def tensor_apply_D(t):
     out = {}
     for aev, lpoly in t.items():
         d = derivation_D(Poly.monomial("a", aev))
-        for ev, c in d.terms():
-            out[ev] = out.get(ev, Poly.zero("L")) + lpoly.scale(c)
+        for ev in d.exponents():
+            out[ev] = out.get(ev, Poly.zero("L")) + lpoly.scale(d.coefficient(ev))
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from perpetuants import (
+    FamilyMismatchError,
     Poly,
     derivation_D,
     dim_series,
@@ -181,6 +182,15 @@ def test_span_equal_rejects_mixed_bidegree():
         in_span(a(1), [a(0) * a(2)])
     with pytest.raises(ValueError, match="mixed bidegrees"):
         span_ranks([a(0) * a(2)], [], [a(1)])
+    # a single poly that is not homogeneous-isobaric
+    with pytest.raises(ValueError, match="mixed bidegrees"):
+        span_rank([a(0) * a(2) + a(1)])
+    # the index comes from the first nonzero poly, not the first group
+    with pytest.raises(ValueError, match="mixed bidegrees"):
+        span_ranks([Poly.zero("a")], [a(0) * a(2)], [a(1)])
+    # L1^2 has the exponents of a1^2 but is not an a-polynomial
+    with pytest.raises(FamilyMismatchError):
+        span_rank([Poly.variable("L", 1) ** 2])
 
 
 def test_span_ranks_are_ranks_of_growing_unions():

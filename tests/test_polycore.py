@@ -97,6 +97,45 @@ def test_scalar_arithmetic():
     assert (2 * a(0) - a(0) - a(0)).is_zero()
 
 
+# --------------------------------------------------------- coefficient types
+
+
+def test_pipeline_coefficients_are_ints():
+    from perpetuants import decomposable_span, kernel_oracle, q_n, u_basis
+
+    polys = (
+        [u.poly for u in u_basis(5, 15)]
+        + decomposable_span(5, 15)
+        + kernel_oracle(5, 15)
+        + [q_n(5)]
+    )
+    for p in polys:
+        for ev in p.exponents():
+            assert type(p.coefficient(ev)) is int, (p, ev)
+
+
+def test_integral_scale_and_sum_store_ints():
+    half = a(1).scale(Fraction(1, 2))
+    for p in (half * 2, half + half):
+        assert type(p.coefficient(ExponentVector({1: 1}))) is int
+
+
+def test_float_coefficient_converts_exactly():
+    c = Poly.constant("a", 0.5).coefficient(ExponentVector())
+    assert type(c) is Fraction and c == Fraction(1, 2)
+
+
+def test_integral_fraction_equals_int():
+    p, q = Poly.constant("a", Fraction(3)), Poly.constant("a", 3)
+    assert p == q and hash(p) == hash(q)
+    assert type(p.coefficient(ExponentVector())) is int
+
+
+def test_missing_coefficient_is_int_zero():
+    c = a(1).coefficient(ExponentVector({2: 1}))
+    assert type(c) is int and c == 0
+
+
 # ----------------------------------------------------------------- bigrading
 
 
