@@ -79,6 +79,9 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _emit_elements(elements, args, out):
     if args.format == "json":
         items = []
@@ -97,9 +100,8 @@ def _emit_elements(elements, args, out):
 
 
 def run(argv, out=sys.stdout, err=sys.stderr):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
 

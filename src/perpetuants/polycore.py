@@ -10,6 +10,10 @@ is stored as a Python `int`, any other as a `fractions.Fraction` in lowest
 terms, and zero coefficients are never stored.  The a-polynomials of the
 certificate are integral, so `Fraction` arises only where a division makes
 one (translation, umbral products, c_k, primitive parts and parsing).
+`Poly.__init__` is the one place that sums coefficients: it takes any
+stream of (monomial, coefficient) pairs, adds the coefficients of a
+repeated monomial and keeps only the nonzero sums, so arithmetic hands
+it unsummed pairs.
 All values are immutable; every operation returns a new object.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 
 class FamilyMismatchError(TypeError):
@@ -235,14 +240,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.family, other)
         self._check(other)
-        merged = dict(self._terms)
-        for ev, c in other._terms.items():
-            s = merged.get(ev, 0) + c
-            if s:
-                merged[ev] = s
-            elif ev in merged:
-                del merged[ev]
-        return Poly(self.family, merged)
+        return Poly(self.family, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -261,16 +259,14 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for ev1, c1 in self._terms.items():
-            for ev2, c2 in other._terms.items():
-                ev = ev1 * ev2
-                s = out.get(ev, 0) + c1 * c2
-                if s:
-                    out[ev] = s
-                elif ev in out:
-                    del out[ev]
-        return Poly(self.family, out)
+        return Poly(
+            self.family,
+            (
+                (ev1 * ev2, c1 * c2)
+                for ev1, c1 in self._terms.items()
+                for ev2, c2 in other._terms.items()
+            ),
+        )
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -308,7 +304,7 @@ class Poly:
         if not isinstance(replacement, Poly):
             replacement = Poly.constant(self.family, replacement)
         self._check(replacement)
-        out = {}
+        out = []
         powers = {0: Poly.constant(self.family, 1)}
         for ev, c in self._terms.items():
             e = ev.get(index)
@@ -318,9 +314,7 @@ class Poly:
                 for k in range(max(powers) + 1, e + 1):
                     p = p * replacement
                     powers[k] = p
-            for pev, pc in powers[e]._terms.items():
-                key = pev * rest
-                out[key] = out.get(key, 0) + pc * c
+            out.extend((pev * rest, pc * c) for pev, pc in powers[e]._terms.items())
         return Poly(self.family, out)
 
     # -- normalization -----------------------------------------------------
@@ -391,8 +385,6 @@ class Poly:
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
 
-    _TERM_RE = re.compile(r"([+-])")
-
     @classmethod
     def parse(cls, text, family=None):
         """Parse the text encoding, e.g. "3*a0^2*a3 - 3*a0*a1*a2 + a1^3"."""
@@ -403,7 +395,6 @@ class Poly:
         sign = 1
         buf = ""
         depth_guard = text.replace(" ", "")
-        i = 0
         # split on top-level + and - (no parentheses in this encoding)
         for ch in depth_guard:
             if ch in "+-" and buf:

@@ -92,26 +92,14 @@ def partitions_at_most(g, max_parts):
 def e_indices(n, g):
     """All k = (k1,...,kn) with sum i*k_i = g, in the canonical order.
 
-    The order is reverse-lexicographic on the induced leading partition
-    h(k) with h_j = k_j + k_{j+1} + ... + k_n, which pairs column j with
-    the j-th partition row of the transition matrices.
+    Column j is read off the j-th partition row h of the transition
+    matrices as k_j = h_j - h_{j+1}, so h_j = k_j + k_{j+1} + ... + k_n
+    and the order is reverse-lexicographic on that induced partition.
     """
     out = []
-
-    def rec(i, remaining, acc):
-        if i > n:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        if i == n:
-            if remaining % n == 0:
-                out.append(tuple(acc) + (remaining // n,))
-            return
-        for k in range(remaining // i, -1, -1):
-            rec(i + 1, remaining - i * k, acc + [k])
-
-    rec(1, g, [])
-    out.sort(key=lambda k: tuple(sum(k[j:]) for j in range(n)), reverse=True)
+    for h in partitions_at_most(g, n):
+        padded = h.padded(n) + (0,)
+        out.append(tuple(padded[j] - padded[j + 1] for j in range(n)))
     return out
 
 
@@ -175,9 +163,6 @@ class TransitionMatrix:
     cols: list  # EIndex tuples
     entries: list  # list of list of int
     direction: str
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
     def to_json_dict(self):
         return {

@@ -14,12 +14,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial
 
 from .polycore import ExponentVector, Poly
 from .symfunc import (
     Partition,
-    e_indices,
     monomial_sum,
     partitions_at_most,
     transition_alpha,
@@ -66,14 +66,7 @@ class UmbralPoly:
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("ambient mismatch")
-        merged = dict(self.terms)
-        for r, c in other.terms.items():
-            s = merged.get(r, 0) + c
-            if s:
-                merged[r] = s
-            elif r in merged:
-                del merged[r]
-        return UmbralPoly(self.n, merged)
+        return UmbralPoly(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __mul__(self, other):
         """Product with divided-power semantics.
@@ -82,33 +75,26 @@ class UmbralPoly:
         """
         if self.n != other.n:
             raise ValueError("ambient mismatch")
-        out = {}
+        out = []
         for r, cr in self.terms.items():
             for s, cs in other.terms.items():
                 coeff = cr * cs
                 for a, b in zip(r, s):
                     if a and b:
                         coeff *= comb(a + b, a)
-                key = tuple(a + b for a, b in zip(r, s))
-                v = out.get(key, 0) + coeff
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                out.append((tuple(a + b for a, b in zip(r, s)), coeff))
         return UmbralPoly(self.n, out)
-
-    def scale(self, c):
-        return UmbralPoly(self.n, {r: Fraction(c) * v for r, v in self.terms.items()})
 
     def partial(self, i):
         """Divided-power partial derivative in the i-th umbra (1-based)."""
-        out = {}
-        for r, c in self.terms.items():
-            if r[i - 1] == 0:
-                continue
-            key = r[: i - 1] + (r[i - 1] - 1,) + r[i:]
-            out[key] = out.get(key, 0) + c
-        return UmbralPoly(self.n, out)
+        return UmbralPoly(
+            self.n,
+            (
+                (r[: i - 1] + (r[i - 1] - 1,) + r[i:], c)
+                for r, c in self.terms.items()
+                if r[i - 1]
+            ),
+        )
 
     def __eq__(self, other):
         return isinstance(other, UmbralPoly) and self.n == other.n and self.terms == other.terms
@@ -123,11 +109,7 @@ def umbral_E(m):
     """
     if isinstance(m, UmbralMonomial):
         return Poly.monomial("a", _a_exponent(m.r))
-    out = {}
-    for r, c in m.terms.items():
-        ev = _a_exponent(r)
-        out[ev] = out.get(ev, 0) + c
-    return Poly("a", out)
+    return Poly("a", ((_a_exponent(r), c) for r, c in m.terms.items()))
 
 
 def _a_exponent(parts):
@@ -140,7 +122,7 @@ def _a_exponent(parts):
 
 def derivation_D(p):
     """The lowering derivation sum_i a_(i-1) d/d a_i, applied exactly."""
-    out = {}
+    out = []
     for ev in p.exponents():
         c = p.coefficient(ev)
         for i, e in ev.entries:
@@ -149,8 +131,7 @@ def derivation_D(p):
             exps = dict(ev.entries)
             exps[i] -= 1
             exps[i - 1] = exps.get(i - 1, 0) + 1
-            key = ExponentVector(exps)
-            out[key] = out.get(key, 0) + c * e
+            out.append((ExponentVector(exps), c * e))
     return Poly("a", out)
 
 
@@ -241,7 +222,9 @@ class MonomialIndex:
 
     def poly(self, coefficients):
         """The sum of c times the monomial at position j over (j, c) pairs."""
-        return Poly("a", {self.exponents[j]: c for j, c in coefficients if c})
+        # Alpha rows and null-space vectors are mostly zeros; skipping them
+        # here spares the constructor a hash of each.
+        return Poly("a", ((self.exponents[j], c) for j, c in coefficients if c))
 
 
 @lru_cache(maxsize=None)
@@ -331,10 +314,7 @@ def potenziante_tensor(n, g, lambda_indices=None):
         raise ValueError("need one lambda index per umbra")
     out = {}
     for r in _compositions(g, n):
-        amon_exps = {}
-        for x in r:
-            amon_exps[x] = amon_exps.get(x, 0) + 1
-        aev = ExponentVector(amon_exps)
+        aev = _a_exponent(r)
         lev = {}
         for idx, e in zip(lambda_indices, r):
             if e:

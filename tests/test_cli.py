@@ -188,3 +188,14 @@ def test_oracle_json():
 def test_unknown_subcommand_is_usage_error():
     code, _, _ = call("frobnicate")
     assert code == 2
+
+
+def test_run_builds_no_parser_per_call(monkeypatch):
+    from perpetuants import cli
+
+    def rebuild():
+        raise AssertionError("run() rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    code, _, _ = call("dims", "3", "--gmax", "4")
+    assert code == 0

@@ -89,6 +89,11 @@ def test_family_mismatch_is_typed():
 def test_l_variables_start_at_one():
     with pytest.raises(ValueError):
         Poly("L", [(ExponentVector({0: 1}), 1)])
+    # a monomial whose coefficients cancel, or are zero, is still checked
+    l0, l1 = ExponentVector({0: 1}), ExponentVector({1: 1})
+    for pairs in ([(l0, 1), (l1, 2), (l0, -1)], [(l1, 2), (l0, 0)]):
+        with pytest.raises(ValueError):
+            Poly("L", pairs)
 
 
 def test_scalar_arithmetic():
@@ -129,6 +134,40 @@ def test_integral_fraction_equals_int():
     p, q = Poly.constant("a", Fraction(3)), Poly.constant("a", 3)
     assert p == q and hash(p) == hash(q)
     assert type(p.coefficient(ExponentVector())) is int
+
+
+MONOMIALS = [ExponentVector(e) for e in ({}, {1: 1}, {1: 2, 3: 1}, {2: 4})]
+
+
+@st.composite
+def term_streams(draw):
+    """Shuffled (monomial, coefficient) pairs with repeats, exact
+    cancellations and Fraction halves."""
+    halves = st.integers(-4, 4).map(lambda x: Fraction(x, 2))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(MONOMIALS), st.integers(-4, 4) | halves),
+            max_size=12,
+        )
+    )
+    if pairs:
+        cancelled = draw(st.lists(st.sampled_from(pairs), max_size=4))
+        pairs += [(ev, -c) for ev, c in cancelled]
+    return draw(st.permutations(pairs))
+
+
+@given(st.sampled_from(["a", "L"]), term_streams())
+@settings(max_examples=200, deadline=None)
+def test_constructor_sums_repeated_monomials(family, pairs):
+    reference = {}
+    for ev, c in pairs:
+        reference[ev] = reference.get(ev, 0) + c
+    p = Poly(family, pairs)
+    assert len(p) == sum(1 for s in reference.values() if s)
+    for ev, s in reference.items():
+        c = p.coefficient(ev)
+        assert c == s
+        assert type(c) is (int if s.denominator == 1 else Fraction)
 
 
 def test_missing_coefficient_is_int_zero():

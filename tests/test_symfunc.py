@@ -190,6 +190,30 @@ def test_beta_counts_match_e_monomial_expansion(n, g):
             assert beta.entries[i][j] == e_monomial(k, n).coefficient(ev)
 
 
+def _e_indices_reference(n, g):
+    """Every k with sum i*k_i = g, sorted descending by the suffix sums
+    (k_1 + ... + k_n, k_2 + ... + k_n, ..., k_n)."""
+
+    def rec(i, remaining):
+        if i > n:
+            if remaining == 0:
+                yield ()
+            return
+        for x in range(remaining // i + 1):
+            for rest in rec(i + 1, remaining - i * x):
+                yield (x,) + rest
+
+    return sorted(
+        rec(1, g), key=lambda k: tuple(sum(k[j:]) for j in range(n)), reverse=True
+    )
+
+
+def test_e_indices_match_enumeration_sorted_by_suffix_sums():
+    for n in range(1, 8):
+        for g in range(21):
+            assert e_indices(n, g) == _e_indices_reference(n, g), (n, g)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [[[1, 0, 0], [2, 1, 5], [0, 3, 1]], [[1, 0], [4, 2]]],

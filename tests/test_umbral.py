@@ -3,6 +3,7 @@ translation action, and the potenziante expansion with its identities."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,12 @@ def test_E_of_one():
 def test_E_is_linear():
     u = UmbralPoly(2, [((1, 0), 2), ((0, 1), -1)])
     assert umbral_E(u) == 2 * a(0) * a(1) - a(0) * a(1)
+
+
+def test_umbral_poly_drops_cancelled_terms():
+    u = UmbralPoly(2, [((1, 0), 2), ((0, 1), Fraction(1, 2)), ((1, 0), -2)])
+    assert u.terms == {(0, 1): Fraction(1, 2)}
+    assert (u + UmbralPoly(2, [((0, 1), Fraction(-1, 2))])).terms == {}
 
 
 def test_umbral_monomial_validation():
@@ -105,8 +112,6 @@ def test_translate_a1():
 
 
 def test_translate_a2():
-    from fractions import Fraction
-
     t = translate(a(2))
     assert t[0] == a(2)
     assert t[1] == a(1)
