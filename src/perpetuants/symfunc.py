@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
+from operator import add, mul
 
 from .polycore import ExponentVector, Poly
 
@@ -71,8 +72,12 @@ def partitions(g, max_part, min_part=1):
     return [Partition(p) for p in rec(g, max_part)]
 
 
+@lru_cache(maxsize=None)
 def partitions_at_most(g, max_parts):
-    """Partitions of g with at most max_parts parts, reverse-lexicographic."""
+    """Partitions of g with at most max_parts parts, reverse-lexicographic.
+
+    Built once per (g, max_parts) and shared, hence a tuple.
+    """
     if g < 0:
         raise ValueError("negative weight")
 
@@ -82,11 +87,12 @@ def partitions_at_most(g, max_parts):
             return
         if slots == 0:
             return
-        for first in range(min(cap, remaining), 0, -1):
+        # the largest of at most `slots` parts is at least remaining / slots
+        for first in range(min(cap, remaining), (remaining - 1) // slots, -1):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    return [Partition(p) for p in rec(g, g, max_parts)]
+    return tuple(Partition(p) for p in rec(g, g, max_parts))
 
 
 def e_indices(n, g):
@@ -159,7 +165,7 @@ class TransitionMatrix:
     m-coefficients of the invariant attached to k.
     """
 
-    rows: list  # Partition
+    rows: tuple  # Partition, as from partitions_at_most
     cols: list  # EIndex tuples
     entries: list  # list of list of int
     direction: str
@@ -176,50 +182,73 @@ class TransitionMatrix:
         return json.dumps(self.to_json_dict())
 
 
-def _count_01_matrices(col_sums, row_sizes, memo):
-    """Number of 0-1 matrices with the given column sums and row sizes.
+def _lowerings(h, i):
+    """{mu: number of i-subsets S of the places of h with sort(h - 1_S) = mu}."""
+    counts = {}
+    for S in combinations(range(len(h)), i):
+        left = list(h)
+        for s in S:
+            left[s] -= 1
+        mu = tuple(sorted(filter(None, left), reverse=True))
+        counts[mu] = counts.get(mu, 0) + 1
+    return counts
 
-    col_sums is weakly decreasing and positive.  The first row takes any
-    row_sizes[0] distinct columns; what remains is again a count of this
-    kind, and only the multiset of remaining column sums matters, so the
-    state is kept sorted and memoised in `memo`.
+
+@lru_cache(maxsize=None)
+def _beta_entries(n, g):
+    """The entries of beta(n, g), by one Pieri step from smaller weights.
+
+    Column lambda of beta is the e-monomial e^k with k_j = lambda_j -
+    lambda_(j+1); with i = len(lambda), e^k = e_i * e^(k - eps_i), and
+    k - eps_i is the column lambda - (1,...,1) of beta(n, g - i).  The
+    coefficient of L^h in m_mu * e_i counts the i-subsets S of the places
+    of h with sort(h - 1_S) = mu, so each row h is lowered once per i
+    (`_lowerings`) and each entry is a sum of at most C(n, i) products.
+    Reads the beta(n, g - i) entries from this cache, so the smaller
+    weights must be filled first.
     """
-    if not row_sizes:
-        return int(not col_sums)
-    key = (col_sums, row_sizes)
-    if key not in memo:
-        total = 0
-        # every row meets a column at most once
-        if col_sums[0] <= len(row_sizes):
-            for chosen in combinations(range(len(col_sums)), row_sizes[0]):
-                left = list(col_sums)
-                for c in chosen:
-                    left[c] -= 1
-                left = tuple(sorted(filter(None, left), reverse=True))
-                total += _count_01_matrices(left, row_sizes[1:], memo)
-        memo[key] = total
-    return memo[key]
+    if g == 0:
+        return [[1]]
+    rows = partitions_at_most(g, n)
+    lower, position, parents = {}, {}, {}
+    for i in range(1, min(n, g) + 1):
+        lower[i] = _beta_entries(n, g - i)
+        position[i] = {p.parts: j for j, p in enumerate(partitions_at_most(g - i, n))}
+        parents[i] = []
+    col_i = [len(lam) for lam in rows]
+    for lam, i in zip(rows, col_i):
+        parents[i].append(position[i][tuple(p - 1 for p in lam.parts if p > 1)])
+    entries = []
+    for h in rows:
+        # one lazy sum per i over the columns with that i, read in order
+        segs = {}
+        for i, pcs in parents.items():
+            seg = repeat(0, len(pcs))
+            for mu, c in _lowerings(h.parts, i).items():
+                vals = map(lower[i][position[i][mu]].__getitem__, pcs)
+                if c != 1:
+                    vals = map(mul, vals, repeat(c))
+                seg = map(add, seg, vals)
+            segs[i] = seg
+        entries.append([next(segs[i]) for i in col_i])
+    return entries
 
 
 @lru_cache(maxsize=None)
 def transition_beta(n, g):
     """beta[h][k] = coefficient of the sorted monomial L^h in e^k.
 
-    That coefficient counts the 0-1 matrices with column sums h and k_i
-    rows of size i (Macdonald, Symmetric Functions and Hall Polynomials,
-    I.6), computed here by counting rather than by expanding e^k.
+    Built by the Pieri rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6): column k is e_i times column k - eps_i of beta(n,
+    g - i), for the largest i with k_i > 0, expanded in the m-basis.  The
+    smaller weights are filled in increasing order, so each step finds
+    its beta(n, g - i) cached and the stack depth does not grow with g.
     """
-    rows = partitions_at_most(g, n)
-    cols = e_indices(n, g)
-    row_sizes = [
-        tuple(i for i in range(n, 0, -1) for _ in range(k[i - 1])) for k in cols
-    ]
-    memo = {}
-    entries = [
-        [_count_01_matrices(h.parts, sizes, memo) for sizes in row_sizes]
-        for h in rows
-    ]
-    return TransitionMatrix(rows, cols, entries, "beta")
+    for w in range(g):
+        _beta_entries(n, w)
+    return TransitionMatrix(
+        partitions_at_most(g, n), e_indices(n, g), _beta_entries(n, g), "beta"
+    )
 
 
 def _unitriangular_inverse(entries, n, g):

@@ -27,6 +27,13 @@ def test_basis_3_3_text():
     assert out == "U_{0,1} = 3*a0^2*a3 - 3*a0*a1*a2 + a1^3\n"
 
 
+def test_basis_at_large_weight_has_bounded_stack_depth():
+    # beta(1, g) is built from the smaller weights; their number must not
+    # set the recursion depth
+    code, out, err = call("basis", "1", "3000")
+    assert (code, out, err) == (0, "(empty)\n", "")
+
+
 def test_basis_json():
     code, out, _ = call("basis", "3", "3", "--format", "json")
     assert code == 0

@@ -190,6 +190,62 @@ def test_beta_counts_match_e_monomial_expansion(n, g):
             assert beta.entries[i][j] == e_monomial(k, n).coefficient(ev)
 
 
+def _count_01_matrices(col_sums, row_sizes, memo):
+    """Number of 0-1 matrices with the given column sums and row sizes.
+
+    col_sums is weakly decreasing and positive.  The first row takes any
+    row_sizes[0] distinct columns; what remains is again a count of this
+    kind, and only the multiset of remaining column sums matters, so the
+    state is kept sorted and memoised in `memo`.
+    """
+    if not row_sizes:
+        return int(not col_sums)
+    key = (col_sums, row_sizes)
+    if key not in memo:
+        total = 0
+        # every row meets a column at most once
+        if col_sums[0] <= len(row_sizes):
+            for chosen in combinations(range(len(col_sums)), row_sizes[0]):
+                left = list(col_sums)
+                for c in chosen:
+                    left[c] -= 1
+                left = tuple(sorted(filter(None, left), reverse=True))
+                total += _count_01_matrices(left, row_sizes[1:], memo)
+        memo[key] = total
+    return memo[key]
+
+
+def _beta_by_counting(n, g):
+    """The beta entries as counts of 0-1 matrices with column sums h and
+    k_i rows of size i (Macdonald, I.6), the reference for the Pieri step."""
+    row_sizes = [
+        tuple(i for i in range(n, 0, -1) for _ in range(k[i - 1]))
+        for k in e_indices(n, g)
+    ]
+    memo = {}
+    return [
+        [_count_01_matrices(h.parts, sizes, memo) for sizes in row_sizes]
+        for h in partitions_at_most(g, n)
+    ]
+
+
+@pytest.mark.parametrize("n,g", [(n, g) for n in range(1, 8) for g in range(13)])
+def test_beta_matches_01_matrix_counts(n, g):
+    assert transition_beta(n, g).entries == _beta_by_counting(n, g)
+
+
+@pytest.mark.slow
+def test_beta_column_of_e1_power_is_multinomial_at_degree_6():
+    # column (g, 0, ..., 0) is e_1^g = sum over h of g!/(h_1! ... h_n!) m_h
+    n, g = 6, 25
+    beta = transition_beta(n, g)
+    assert beta.cols[0] == (g,) + (0,) * (n - 1)
+    for h, row in zip(beta.rows, beta.entries):
+        assert row[0] == math.factorial(g) // math.prod(
+            math.factorial(p) for p in h.parts
+        ), h
+
+
 def _e_indices_reference(n, g):
     """Every k with sum i*k_i = g, sorted descending by the suffix sums
     (k_1 + ... + k_n, k_2 + ... + k_n, ..., k_n)."""
