@@ -14,8 +14,8 @@ from itertools import accumulate
 
 from . import linalg
 from .polycore import FamilyMismatchError, Poly
-from .symfunc import partitions, transition_alpha
-from .umbral import derivation_D, monomial_index, u_tilde
+from .symfunc import partition_counts, transition_alpha
+from .umbral import lowering_matrix, monomial_index
 
 
 @dataclass
@@ -31,6 +31,11 @@ class InvariantElement:
     weight: int
     poly: Poly
 
+    @classmethod
+    def from_alpha_row(cls, n, g, k, row):
+        """U_(k2,...,kn) from the alpha row paired with k = (0, k2, ..., kn)."""
+        return cls(k[1:], n, g, monomial_index(n, g).poly(enumerate(row)))
+
     def to_json_dict(self):
         return {
             "k": list(self.k),
@@ -43,6 +48,17 @@ class InvariantElement:
         return json.dumps(self.to_json_dict())
 
 
+def invariant_rows(n, g):
+    """(k, row) for each basis invariant of S_{n,g}: the alpha rows whose
+    e-index k has k1 = 0, in the canonical column order.
+
+    The row paired with k carries the coefficients of U~_k over
+    `monomial_index(n, g)`: U~_k = sum_h alpha[k][h] a_h.
+    """
+    alpha = transition_alpha(n, g)
+    return [(k, row) for k, row in zip(alpha.cols, alpha.entries) if k[0] == 0]
+
+
 def u_basis(n, g):
     """Basis of S_{n,g} extracted from the potenziante e-expansion.
 
@@ -52,9 +68,8 @@ def u_basis(n, g):
     if n < 1:
         raise ValueError("need n >= 1")
     return [
-        InvariantElement(tuple(k[1:]), n, g, u)
-        for k, u in zip(transition_alpha(n, g).cols, u_tilde(n, g))
-        if k[0] == 0
+        InvariantElement.from_alpha_row(n, g, k, row)
+        for k, row in invariant_rows(n, g)
     ]
 
 
@@ -69,16 +84,10 @@ def kernel_oracle(n, g, max_var=None):
     index = monomial_index(n, g)
     source = [
         j
-        for j, ev in enumerate(index.exponents)
-        if max_var is None or all(i <= max_var for i in ev.indices())
+        for j, h in enumerate(index.parts)
+        if max_var is None or max(h, default=0) <= max_var
     ]
-    matrix = []
-    if g:
-        # rows: target monomials, cols: source monomials
-        target = monomial_index(n, g - 1)
-        columns = [target.row(derivation_D(index.poly([(j, 1)]))) for j in source]
-        matrix = [list(row) for row in zip(*columns)]
-    vectors = linalg.nullspace(matrix, ncols=len(source))
+    vectors = linalg.nullspace(lowering_matrix(n, g, source), ncols=len(source))
     return [index.poly(zip(source, vec)) for vec in vectors]
 
 
@@ -96,8 +105,9 @@ class DimensionSeries:
 def dim_series(n, g_max):
     """dim S_{n,g} for g = 0..g_max, by exact power-series division.
 
-    Cross-checked against direct enumeration of partitions with parts
-    between 2 and n; any disagreement is an implementation bug.
+    Cross-checked at every weight against a count of the partitions with
+    parts between 2 and n by their largest part (`partition_counts`); any
+    disagreement is an implementation bug.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -107,24 +117,17 @@ def dim_series(n, g_max):
         # multiply by 1/(1 - x^part)
         for g in range(part, g_max + 1):
             coeffs[g] += coeffs[g - part]
-    for g in range(g_max + 1):
-        if coeffs[g] != len(partitions(g, n, 2)):
+    for g, (c, count) in enumerate(zip(coeffs, partition_counts(n, 2))):
+        if c != count:
             raise AssertionError(f"dimension series mismatch at ({n},{g})")
     return DimensionSeries(n, coeffs)
 
 
-def span_ranks(*groups):
+def row_ranks(*groups):
     """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
-    for a-polynomials of one common bidegree, from one elimination."""
-    tagged = [(k, p) for k, group in enumerate(groups) for p in group if not p.is_zero()]
-    if not tagged:
-        return [0] * len(groups)
-    for _, p in tagged:
-        if p.family != "a":
-            raise FamilyMismatchError("span ranks are defined for a-polynomials")
-    first = next(iter(tagged[0][1].exponents()))
-    index = monomial_index(first.degree(), first.weight())
-    rows = [index.row(p) for _, p in tagged]
+    for integer rows of one common length, from one elimination."""
+    tags = [k for k, group in enumerate(groups) for _ in group]
+    rows = [row for group in groups for row in group]
     # The row rank profile does not depend on the column order.  Sparsest
     # columns first: each free column of a null space basis holds a single
     # nonzero, so its pivot updates only the rows that use that vector.
@@ -133,8 +136,23 @@ def span_ranks(*groups):
     pivot_rows = linalg.bareiss_echelon([[row[j] for j in order] for row in rows])[2]
     counts = [0] * len(groups)
     for i in pivot_rows:
-        counts[tagged[i][0]] += 1
+        counts[tags[i]] += 1
     return list(accumulate(counts))
+
+
+def span_ranks(*groups):
+    """`row_ranks` for a-polynomials of one common bidegree, read as rows
+    over the monomial index of the first nonzero one."""
+    groups = [[p for p in group if not p.is_zero()] for group in groups]
+    polys = [p for group in groups for p in group]
+    if not polys:
+        return [0] * len(groups)
+    for p in polys:
+        if p.family != "a":
+            raise FamilyMismatchError("span ranks are defined for a-polynomials")
+    first = next(iter(polys[0].exponents()))
+    index = monomial_index(first.degree(), first.weight())
+    return row_ranks(*([index.row(p) for p in group] for group in groups))
 
 
 def span_rank(polys):

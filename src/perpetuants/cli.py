@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from math import comb
 
 from . import basis as basis_mod
@@ -19,6 +20,11 @@ from . import binforms, perpetua, symfunc
 # q_6 has 19930 terms and expands in under a second; q_7, of degree 63
 # in six variables, may have up to 10.4 million terms.
 QN_MAX_N = 6
+
+# The a-monomials of a cell (n, g) index every matrix that basis,
+# perpetuants, oracle and verify build for it.  (6,36) has 2432 and
+# certifies in minutes; (3,2000), with 334334, exhausts memory.
+CELL_MAX_MONOMIALS = 2500
 
 
 def _add_format(p):
@@ -99,6 +105,21 @@ def _emit_elements(elements, args, out):
             out.write(f"U_{{{','.join(str(x) for x in u.k)}}} = {poly}\n")
 
 
+def _too_large(n, g, err):
+    """Write one line and return True when the cell (n, g) has more than
+    CELL_MAX_MONOMIALS monomials."""
+    # partitions of g into at most n parts, counted as their conjugates:
+    # partitions of g with every part at most n
+    count = next(islice(symfunc.partition_counts(n), g, None))
+    if count <= CELL_MAX_MONOMIALS:
+        return False
+    err.write(
+        f"({n}, {g}) has {count} degree-{n} weight-{g} monomials; "
+        f"cells are limited to {CELL_MAX_MONOMIALS}\n"
+    )
+    return True
+
+
 def run(argv, out=sys.stdout, err=sys.stderr):
     try:
         args = _PARSER.parse_args(argv)
@@ -115,6 +136,8 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         return 2
 
     if args.command == "basis":
+        if _too_large(args.n, args.g, err):
+            return 2
         _emit_elements(basis_mod.u_basis(args.n, args.g), args, out)
         return 0
 
@@ -124,6 +147,8 @@ def run(argv, out=sys.stdout, err=sys.stderr):
                 "perpetuants for n <= 2 are special: a0 for n = 1, the unique "
                 "even-weight degree-2 invariant for n = 2; use n >= 3 here\n"
             )
+            return 2
+        if _too_large(args.n, args.g, err):
             return 2
         _emit_elements(perpetua.perpetuant_basis(args.n, args.g), args, out)
         return 0
@@ -144,6 +169,8 @@ def run(argv, out=sys.stdout, err=sys.stderr):
             err.write("give either a weight g or --gmax\n")
             return 2
         weights = [args.g] if args.g is not None else range(args.gmax + 1)
+        if _too_large(args.n, max(weights), err):
+            return 2
         all_ok = True
         results = []
         for g in weights:
@@ -233,6 +260,8 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         return 0 if ok else 1
 
     if args.command == "oracle":
+        if _too_large(args.n, args.g, err):
+            return 2
         kernel = basis_mod.kernel_oracle(args.n, args.g)
         ub = basis_mod.u_basis(args.n, args.g)
         equal, ra, rb, ru = basis_mod.span_equal(

@@ -10,15 +10,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import linalg
 from .basis import (
     DimensionSeries,
+    InvariantElement,
     dim_series,
-    kernel_oracle,
-    span_rank,  # noqa: F401  no caller here; perfbench's binding-site test wraps it
-    span_ranks,
-    u_basis,
+    invariant_rows,
+    row_ranks,
 )
+
+# No caller here; perfbench's binding-site test wraps these names in this module.
+from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .polycore import ExponentVector, Poly
+from .umbral import lowering_matrix, monomial_index
 
 
 def stroh_series(n, g_max):
@@ -83,8 +87,17 @@ def perpetuant_basis(n, g):
         raise ValueError(
             "n <= 2 is special: use degree2_perpetuant, or a_0 for n = 1"
         )
+    return [
+        InvariantElement.from_alpha_row(n, g, k, row)
+        for k, row in _selected_rows(n, g)
+    ]
+
+
+def _selected_rows(n, g):
+    """The `invariant_rows` (k, row) whose (k2,...,kn) dominates the
+    threshold vector."""
     t = threshold(n)
-    return [u for u in u_basis(n, g) if t.dominates(u.k)]
+    return [(k, row) for k, row in invariant_rows(n, g) if t.dominates(k[1:])]
 
 
 def degree2_perpetuant(g):
@@ -108,18 +121,46 @@ def decomposable_span(n, g):
     """Products of two positive-degree U-invariants with degrees summing
     to n and weights summing to g; their span is the decomposable part of
     S_{n,g}."""
+    rows = decomposable_rows(n, g)
+    index = monomial_index(n, g)
+    return [index.poly(enumerate(row)) for row in rows]
+
+
+def decomposable_rows(n, g):
+    """The products of `decomposable_span`, in its order, as integer rows
+    over `monomial_index(n, g)`.
+
+    The factors are the `invariant_rows` of (h, j) and (n - h, g - j).
+    The monomial a_p * a_q is a_(p merged with q), so each block of
+    factors gets one table of the merged positions, and a product row is
+    summed into that table's positions.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
+    index = monomial_index(n, g)
+    position = index.parts_position
     out = []
     for h in range(1, n // 2 + 1):
         for j in range(g + 1):
-            left = u_basis(h, j)
+            left = invariant_rows(h, j)
             if not left:
                 continue
-            right = u_basis(n - h, g - j)
-            for u in left:
-                for v in right:
-                    out.append(u.poly * v.poly)
+            right = invariant_rows(n - h, g - j)
+            right_parts = monomial_index(n - h, g - j).parts
+            merged = [
+                [position[tuple(sorted(p + q, reverse=True))] for q in right_parts]
+                for p in monomial_index(h, j).parts
+            ]
+            right_terms = [[(b, y) for b, y in enumerate(v) if y] for _, v in right]
+            for _, u in left:
+                for v_terms in right_terms:
+                    row = [0] * len(index.parts)
+                    for a, x in enumerate(u):
+                        if x:
+                            at = merged[a]
+                            for b, y in v_terms:
+                                row[at[b]] += x * y
+                    out.append(row)
     return out
 
 
@@ -162,10 +203,12 @@ def verify_complement(n, g):
     count.  All ranks are exact; a failed check is reported as data."""
     if n < 3:
         raise ValueError("certificates are defined for n >= 3")
-    total = len(kernel_oracle(n, g))
-    dec = decomposable_span(n, g)
-    perp = perpetuant_basis(n, g)
-    dim_dec, union_rank = span_ranks(dec, [u.poly for u in perp])
+    # dim ker D, independent of alpha: a_0^n spans weight 0
+    total = 1
+    if g:
+        total = len(monomial_index(n, g).parts) - linalg.rank(lowering_matrix(n, g))
+    perp = [row for _, row in _selected_rows(n, g)]
+    dim_dec, union_rank = row_ranks(decomposable_rows(n, g), perp)
     dim_perp = len(perp)
     stroh = stroh_series(n, g)[g]
     ok = (

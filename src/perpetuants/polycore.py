@@ -331,7 +331,7 @@ class Poly:
             num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
         content = Fraction(num, den)
-        lead = self._terms[sorted(self._terms, key=_canon_key)[0]]
+        lead = self._terms[min(self._terms, key=_canon_key)]
         if lead < 0:
             content = -content
         return self.scale(1 / content)

@@ -9,9 +9,10 @@ symmetric functions p_h and q_n together with leading exponents.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, count, permutations, repeat
 from operator import add, mul
 
 from .polycore import ExponentVector, Poly
@@ -70,6 +71,29 @@ def partitions(g, max_part, min_part=1):
                 yield (first,) + rest
 
     return [Partition(p) for p in rec(g, max_part)]
+
+
+def partition_counts(max_part, min_part=1):
+    """Yield, for w = 0, 1, 2, ..., the number of partitions of w with
+    every part between min_part >= 1 and max_part.
+
+    Counted bottom-up over the largest-part recursion of `partitions`: a
+    partition of w with largest part f is f followed by a partition of
+    w - f with parts at most f.  No partition is built, and only the
+    counts of the last max_part weights are kept, so neither the memory
+    nor the stack depth grows with w.
+    """
+    caps = range(min_part, max_part + 1)
+    # recent[-f][c - min_part]: partitions of w - f with parts in [min_part, c]
+    recent = deque(maxlen=max_part)
+    for w in count():
+        counts, total = [], int(w == 0)
+        for f in caps:
+            if f <= w:
+                total += recent[-f][f - min_part]
+            counts.append(total)
+        yield total
+        recent.append(counts)
 
 
 @lru_cache(maxsize=None)

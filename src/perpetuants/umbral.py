@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, factorial
 
@@ -192,16 +192,27 @@ class MonomialIndex:
     most n parts, in `partitions_at_most` order (the row order of the
     transition matrices).
 
-    Every conversion between an a-polynomial of bidegree (n, g) and an
-    integer row over these monomials goes through `row` and `poly`.
+    `parts[j]` is the partition of position j as a tuple of its nonzero
+    parts, and `parts_position` maps such a tuple back to its position;
+    the integer-row computations work on these alone.  Every conversion
+    between an a-polynomial of bidegree (n, g) and an integer row over
+    these monomials goes through `row` and `poly`, whose exponent vectors
+    are built on first use.
     """
 
     def __init__(self, n, g):
         self.bidegree = (n, g)
-        self.exponents = tuple(
-            _a_exponent(h.padded(n)) for h in partitions_at_most(g, n)
-        )
-        self.position = {ev: j for j, ev in enumerate(self.exponents)}
+        self.parts = tuple(h.parts for h in partitions_at_most(g, n))
+        self.parts_position = {h: j for j, h in enumerate(self.parts)}
+
+    @cached_property
+    def exponents(self):
+        n = self.bidegree[0]
+        return tuple(_a_exponent(h + (0,) * (n - len(h))) for h in self.parts)
+
+    @cached_property
+    def position(self):
+        return {ev: j for j, ev in enumerate(self.exponents)}
 
     def row(self, p):
         """Coefficients of p by position.
@@ -209,9 +220,10 @@ class MonomialIndex:
         Raises ValueError, naming the monomial, when p has a term of
         another bidegree.
         """
-        out = [0] * len(self.exponents)
+        out = [0] * len(self.parts)
+        position = self.position
         for ev in p.exponents():
-            j = self.position.get(ev)
+            j = position.get(ev)
             if j is None:
                 raise ValueError(
                     f"mixed bidegrees: {Poly.monomial('a', ev)} is not of "
@@ -224,7 +236,8 @@ class MonomialIndex:
         """The sum of c times the monomial at position j over (j, c) pairs."""
         # Alpha rows and null-space vectors are mostly zeros; skipping them
         # here spares the constructor a hash of each.
-        return Poly("a", ((self.exponents[j], c) for j, c in coefficients if c))
+        exponents = self.exponents
+        return Poly("a", ((exponents[j], c) for j, c in coefficients if c))
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +246,36 @@ def monomial_index(n, g):
     return MonomialIndex(n, g)
 
 
-@lru_cache(maxsize=None)
-def u_tilde(n, g):
-    """U~_k for every column index k of `transition_alpha(n, g)`, in column order.
+def lowering_matrix(n, g, source=None):
+    """The matrix of `derivation_D` from degree-n weight-g a-polynomials
+    to weight g - 1, built from partition arithmetic alone.
 
-    The row of alpha paired with column index k carries the m-coefficients
-    of U~_k: U~_k = sum_h alpha[k][h] a_h.
+    Row i is position i of `monomial_index(n, g - 1)`; column c is
+    position source[c] of `monomial_index(n, g)` (every position when
+    source is None).  D lowers one factor a_v of a_h to a_(v-1), once
+    for each of the m factors equal to a_v: that gives m times a_h', where
+    h' is h with its last part v replaced by v - 1 (a part 1 becomes an
+    a_0 and leaves the partition), so h' stays weakly decreasing.  Empty
+    at g = 0, where there is no weight -1.
     """
-    index = monomial_index(n, g)
-    return tuple(
-        index.poly(enumerate(row)) for row in transition_alpha(n, g).entries
-    )
+    parts = monomial_index(n, g).parts
+    if source is None:
+        source = range(len(parts))
+    if not g:
+        return []
+    target = monomial_index(n, g - 1).parts_position
+    matrix = [[0] * len(source) for _ in range(len(target))]
+    for c, j in enumerate(source):
+        h = parts[j]
+        start = 0
+        for i, v in enumerate(h):
+            if i + 1 < len(h) and h[i + 1] == v:
+                continue
+            # h[start:i + 1] are the m = i + 1 - start parts equal to v
+            lowered = h[:i] + (v - 1,) if v > 1 else h[:i]
+            matrix[target[lowered + h[i + 1:]]][c] = i + 1 - start
+            start = i + 1
+    return matrix
 
 
 @dataclass
@@ -289,7 +321,9 @@ def potenziante(n, g):
         raise ValueError("need n >= 1 and g >= 0")
     parts = partitions_at_most(g, n)
     rows = [(h, monomial_sum(h, n), a_monomial_for(h, n)) for h in parts]
-    e_rows = list(zip(transition_alpha(n, g).cols, u_tilde(n, g)))
+    alpha = transition_alpha(n, g)
+    index = monomial_index(n, g)
+    e_rows = [(k, index.poly(enumerate(row))) for k, row in zip(alpha.cols, alpha.entries)]
     return PotenziantExpansion(n, g, rows, e_rows)
 
 

@@ -15,7 +15,11 @@ from perpetuants import (
     span_equal,
     u_basis,
 )
+from perpetuants import basis as basis_mod
+from perpetuants import linalg, symfunc
 from perpetuants.basis import in_span, span_rank, span_ranks
+from perpetuants.symfunc import partition_counts, partitions
+from perpetuants.umbral import lowering_matrix, monomial_index
 
 
 def a(i):
@@ -129,6 +133,38 @@ def test_basis_matches_oracle(n):
         assert equal and ra == series[g]
 
 
+def _lowering_matrix_by_derivation(n, g, source):
+    """The D-matrix column by column: `derivation_D` applied to the `Poly`
+    of each source monomial, read as a row over the weight g - 1 index
+    (the route that `lowering_matrix` replaced)."""
+    if not g:
+        return []
+    index, target = monomial_index(n, g), monomial_index(n, g - 1)
+    columns = [target.row(derivation_D(index.poly([(j, 1)]))) for j in source]
+    return [[col[i] for col in columns] for i in range(len(target.exponents))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lowering_matrix_is_derivation_D(n):
+    for g in range(13):
+        index = monomial_index(n, g)
+        everything = range(len(index.exponents))
+        assert lowering_matrix(n, g) == _lowering_matrix_by_derivation(n, g, everything)
+        for max_var in (0, 1, 3):
+            source = [
+                j
+                for j, ev in enumerate(index.exponents)
+                if all(i <= max_var for i in ev.indices())
+            ]
+            expected = _lowering_matrix_by_derivation(n, g, source)
+            assert lowering_matrix(n, g, source) == expected
+            kernel = [
+                index.poly(zip(source, vec))
+                for vec in linalg.nullspace(expected, ncols=len(source))
+            ]
+            assert kernel_oracle(n, g, max_var=max_var) == kernel
+
+
 @pytest.mark.slow
 def test_kernel_oracle_first_degree6_perpetuant_cell():
     # (6,31) holds the first degree-6 perpetuant: weight 2^5 - 1
@@ -150,6 +186,25 @@ def test_dim_series_n1():
 
 def test_dim_series_n4_at_6():
     assert dim_series(4, 6)[6] == 3
+
+
+def test_partition_counts_match_enumeration():
+    for max_part in range(1, 8):
+        for min_part in (1, 2, 3):
+            counts = partition_counts(max_part, min_part)
+            for g in range(30):
+                assert next(counts) == len(partitions(g, max_part, min_part))
+
+
+def test_dim_series_checks_without_enumerating(monkeypatch):
+    def enumerate_partitions(*args):
+        raise AssertionError("dim_series must not enumerate partitions")
+
+    monkeypatch.setattr(symfunc, "partitions", enumerate_partitions)
+    monkeypatch.setattr(basis_mod, "partitions", enumerate_partitions, raising=False)
+    series = dim_series(3, 3000)
+    # partitions of g into parts 2 and 3: g // 6 + 1, less one when g % 6 == 1
+    assert series.coefficients == [g // 6 + (g % 6 != 1) for g in range(3001)]
 
 
 # ------------------------------------------------------------------ span algebra

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from perpetuants import symfunc
+from perpetuants import basis as basis_mod
+from perpetuants import cli, perpetua, symfunc
 from perpetuants.cli import run
 
 
@@ -137,6 +138,43 @@ def test_qn_7_fails_fast_with_its_size(monkeypatch):
     assert code == 2
     assert out == ""
     assert "degree 63" in err and "10424128 terms" in err and "n <= 6" in err
+
+
+@pytest.mark.parametrize(
+    "argv,cell,count",
+    [
+        ("verify 3 2000", "(3, 2000)", 334334),
+        ("verify 3 --gmax 2000 --format json", "(3, 2000)", 334334),
+        ("basis 12 200", "(12, 200)", 7211895961),
+        ("perpetuants 3 2000", "(3, 2000)", 334334),
+        ("oracle 3 2000", "(3, 2000)", 334334),
+    ],
+)
+def test_large_cell_fails_fast_with_its_size(monkeypatch, argv, cell, count):
+    def compute(*args, **kwargs):
+        raise AssertionError("no matrix may be built past the guard")
+
+    for name in ("u_basis", "kernel_oracle"):
+        monkeypatch.setattr(basis_mod, name, compute)
+    for name in ("perpetuant_basis", "verify_complement"):
+        monkeypatch.setattr(perpetua, name, compute)
+    for name in ("transition_alpha", "transition_beta", "partitions_at_most"):
+        monkeypatch.setattr(symfunc, name, compute)
+    code, out, err = call(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert cell in err and f"{count} " in err and str(cli.CELL_MAX_MONOMIALS) in err
+
+
+def test_cell_limit_admits_6_36(monkeypatch):
+    # (6,36), with 2432 monomials, must pass the guard
+    def admitted(n, g):
+        raise RuntimeError(f"admitted ({n}, {g})")
+
+    monkeypatch.setattr(perpetua, "verify_complement", admitted)
+    with pytest.raises(RuntimeError, match=r"admitted \(6, 36\)"):
+        call("verify", "6", "36")
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,13 @@ from perpetuants import (
     perpetuant_basis,
     stroh_series,
     threshold,
+    u_basis,
     verify_complement,
 )
 from perpetuants.basis import span_rank
-from perpetuants.perpetua import index_count
+from perpetuants.perpetua import decomposable_rows, index_count
+from perpetuants.symfunc import transition_alpha
+from perpetuants.umbral import monomial_index
 
 
 def a(i):
@@ -146,6 +149,31 @@ def test_decomposable_dims():
     assert span_rank(decomposable_span(2, 2)) == 0
 
 
+def _decomposable_span_by_poly(n, g):
+    """The decomposable products as `Poly` products of the `u_basis`
+    elements, the route that `decomposable_rows` replaced."""
+    out = []
+    for h in range(1, n // 2 + 1):
+        for j in range(g + 1):
+            left = u_basis(h, j)
+            if not left:
+                continue
+            right = u_basis(n - h, g - j)
+            for u in left:
+                for v in right:
+                    out.append(u.poly * v.poly)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_decomposable_rows_are_the_poly_products(n):
+    for g in range(15):
+        index = monomial_index(n, g)
+        products = _decomposable_span_by_poly(n, g)
+        assert decomposable_rows(n, g) == [index.row(p) for p in products]
+        assert decomposable_span(n, g) == products
+
+
 # -------------------------------------------------------------- certificates
 
 
@@ -165,6 +193,19 @@ def test_certificate_3_3():
     cert = verify_complement(3, 3)
     assert (cert.dim_total, cert.dim_decomposable, cert.dim_perpetuant) == (1, 0, 1)
     assert cert.direct_sum_ok
+
+
+def test_certificate_builds_no_poly(monkeypatch):
+    def refuse(self, family, terms=()):
+        raise AssertionError("the certificate must not build a Poly")
+
+    # start cold, so that no cached step is skipped
+    transition_alpha.cache_clear()
+    monomial_index.cache_clear()
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    cert = verify_complement(5, 14)
+    monkeypatch.undo()
+    assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
 
 
 def test_certificate_json_schema():
