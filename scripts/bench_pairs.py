@@ -1,6 +1,6 @@
-"""Alternating parent/change runs of the benchmark, written as BENCH_<pr>.json.
+"""Alternating parent/change runs of the benchmark, written as BENCH_<N>.json.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --pr N \
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --number N \
         [--workloads certify,oracle,qn] [--pairs 10] [--first-seed 1] \
         [--seconds 30] [--traced-seed 1] [--summary TEXT] [--out FILE]
 
@@ -102,21 +102,21 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--number", type=int, required=True, help="N of BENCH_<N>.json")
     parser.add_argument("--workloads", default="certify,oracle,qn")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--traced-seed", type=int, default=1)
     parser.add_argument("--summary", default="", help="one line on what the change does")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the current directory")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<N>.json in the current directory")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("quartiles need --pairs >= 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     machine, commits, workloads, traced = measure(args, spec["end_to_end"])
     report = {
-        "pr": args.pr,
+        "pr": args.number,
         "change": args.summary,
         "machine": machine,
         "commits": commits,
@@ -132,7 +132,7 @@ def main():
         "workloads": workloads,
         "traced": traced,
     }
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = args.out or Path(f"BENCH_{args.number}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
 

@@ -23,6 +23,8 @@ DIGESTS = {
     "qn 5 --format json": "6b577a3efc03d3ae44f25e5107361ff28b92065b57e7047bd4f0c53c5dcbf563",
     "relations --format json": "f9d86ef0d2ec25b197068bca13a18bffe0f6500fbb07839fd4b87c0cf3068d27",
     "basis 4 8": "170ca11171b5b6ca997a1d1d404b80118e7ea3ed7c0b5b737ec3b750a61b5605",
+    "basis 5 15 --primitive": "baaf35af468ff42473ac3eb4923a151ffea6fee124b241f29502c16fc83e4b94",
+    "basis 6 12 --primitive --format json": "a3638cd61f7b486260888a378494a24b8821c4cd5467c01e05d6105149469a5e",
     "oracle 4 8": "291ca983c426e05d359d1eba7d19b9c12ccb8262914294b781c9642ef10811d2",
 }
 
