@@ -1,14 +1,16 @@
 """Alternating parent/change runs of the benchmark, written as BENCH_<N>.json.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --number N \
-        [--workloads certify,oracle,qn] [--pairs 10] [--first-seed 1] \
-        [--seconds 30] [--traced-seed 1] [--summary TEXT] [--out FILE]
+        [--first-seed 1] [--summary TEXT]
 
 DIR is a source checkout (for example a `git clone` at the commit to time).
-Pair k runs `perfbench/run.py --trace 0` with seed first_seed + k once in
-each checkout, the parent first when k is even and the change first when k
-is odd, so that a drift of the host's speed falls on both sides alike.  One
-`--trace 1` run per side and workload follows the pairs.
+Every workload and the run length come from the change's BENCHMARK.json.
+Pair k of ten runs `perfbench/run.py --trace 0` with seed first_seed + k
+once in each checkout, the parent first when k is even and the change first
+when k is odd, so that a drift of the host's speed falls on both sides
+alike.  One `--trace 1` run per side and workload, with seed first_seed,
+follows the pairs.  The file is written to BENCH_<N>.json in the current
+directory.
 
 For each end-to-end metric of the change's BENCHMARK.json the file records
 every run's value, the median and quartiles of each side, and per pair
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
+PAIRS = 10
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -62,17 +65,18 @@ def paired(metric, parent, change):
     }
 
 
-def measure(args, metrics):
+def measure(args, spec):
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     machine, commits, workloads, traced = None, {}, {}, {}
-    for workload in args.workloads.split(","):
-        seeds = [args.first_seed + k for k in range(args.pairs)]
+    for workload in (w["name"] for w in spec["workloads"]):
+        seeds = [args.first_seed + k for k in range(PAIRS)]
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         attempted = dict.fromkeys(sides, 0)
         failed = dict.fromkeys(sides, 0)
         for k, seed in enumerate(seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                prov, result = run_bench(sides[side], workload, seed, args.seconds, 0)
+                prov, result = run_bench(sides[side], workload, seed, seconds, 0)
                 machine = {key: prov[key] for key in ("python", "nproc", "cpu_model", "platform")}
                 commits[side] = prov["commit"]
                 attempted[side] += result["attempted"]
@@ -83,7 +87,7 @@ def measure(args, metrics):
                       f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
         workloads[workload] = {
             "seeds": seeds,
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "failed_ops": failed,
             "attempted_ops": attempted,
             **{side: {name: spread(v) for name, v in values[side].items()} for side in sides},
@@ -92,8 +96,8 @@ def measure(args, metrics):
         }
         traced[workload] = {}
         for side in sides:
-            _, result = run_bench(sides[side], workload, args.traced_seed, args.seconds, 1)
-            traced[workload][side] = {"seed": args.traced_seed} | {
+            _, result = run_bench(sides[side], workload, args.first_seed, seconds, 1)
+            traced[workload][side] = {"seed": args.first_seed} | {
                 name: m["value"] for name, m in result["metrics"].items()}
     return machine, commits, workloads, traced
 
@@ -103,36 +107,30 @@ def main():
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--number", type=int, required=True, help="N of BENCH_<N>.json")
-    parser.add_argument("--workloads", default="certify,oracle,qn")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--traced-seed", type=int, default=1)
     parser.add_argument("--summary", default="", help="one line on what the change does")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<N>.json in the current directory")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("quartiles need --pairs >= 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    machine, commits, workloads, traced = measure(args, spec["end_to_end"])
+    machine, commits, workloads, traced = measure(args, spec)
     report = {
         "pr": args.number,
         "change": args.summary,
         "machine": machine,
         "commits": commits,
         "protocol": {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+            "command": "python3 perfbench/run.py --workload W --seed S "
+                       f"--seconds {spec['run_seconds']:g} --trace 0",
             "pairing": "pair k runs seed first_seed+k on both sides, parent first when k is even "
                        "and change first when odd; each side runs in its own checkout",
-            "pairs": {w: args.pairs for w in workloads},
+            "pairs": {w: PAIRS for w in workloads},
             "statistics": f"median and quartiles by {QUARTILES} over the runs of each side; "
                           "a win is a pair where the change reads better",
-            "traced": f"one --trace 1 run per side, seed {args.traced_seed}, after the untraced pairs",
+            "traced": f"one --trace 1 run per side, seed {args.first_seed}, after the untraced pairs",
         },
         "workloads": workloads,
         "traced": traced,
     }
-    out = args.out or Path(f"BENCH_{args.number}.json")
+    out = Path(f"BENCH_{args.number}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from math import comb
 
 from . import basis as basis_mod
@@ -109,13 +108,20 @@ def _too_large(n, g, err):
     """Write one line and return True when the cell (n, g) has more than
     CELL_MAX_MONOMIALS monomials."""
     # partitions of g into at most n parts, counted as their conjugates:
-    # partitions of g with every part at most n
-    count = next(islice(symfunc.partition_counts(n), g, None))
-    if count <= CELL_MAX_MONOMIALS:
+    # partitions of g with every part at most min(n, g).  With parts up
+    # to 1 there is one for every g; with larger parts the count never
+    # falls as the weight grows, so the walk stops at the first weight
+    # past the limit.
+    if min(n, g) <= 1:
         return False
+    for w, count in enumerate(symfunc.partition_counts(min(n, g))):
+        if count > CELL_MAX_MONOMIALS:
+            break
+        if w == g:
+            return False
     err.write(
-        f"({n}, {g}) has {count} degree-{n} weight-{g} monomials; "
-        f"cells are limited to {CELL_MAX_MONOMIALS}\n"
+        f"({n}, {g}) has more than {CELL_MAX_MONOMIALS} degree-{n} weight-{g} "
+        f"monomials, the limit for a cell\n"
     )
     return True
 
@@ -169,7 +175,7 @@ def run(argv, out=sys.stdout, err=sys.stderr):
             err.write("give either a weight g or --gmax\n")
             return 2
         weights = [args.g] if args.g is not None else range(args.gmax + 1)
-        if _too_large(args.n, max(weights), err):
+        if _too_large(args.n, weights[-1], err):
             return 2
         all_ok = True
         results = []

@@ -81,16 +81,19 @@ def partition_counts(max_part, min_part=1):
     partition of w with largest part f is f followed by a partition of
     w - f with parts at most f.  No partition is built, and only the
     counts of the last max_part weights are kept, so neither the memory
-    nor the stack depth grows with w.
+    nor the stack depth grows with w.  Caps above w count as cap w, so
+    weight w costs min(w, max_part) steps.
     """
-    caps = range(min_part, max_part + 1)
-    # recent[-f][c - min_part]: partitions of w - f with parts in [min_part, c]
+    # recent[-f][c - min_part]: partitions of w - f with parts in
+    # [min_part, c], for c up to min(max_part, max(w - f, min_part)); a
+    # larger cap counts as the last one
     recent = deque(maxlen=max_part)
     for w in count():
         counts, total = [], int(w == 0)
-        for f in caps:
+        for f in range(min_part, min(max_part, max(w, min_part)) + 1):
             if f <= w:
-                total += recent[-f][f - min_part]
+                below = recent[-f]
+                total += below[min(f - min_part, len(below) - 1)]
             counts.append(total)
         yield total
         recent.append(counts)

@@ -196,6 +196,12 @@ def test_partition_counts_match_enumeration():
                 assert next(counts) == len(partitions(g, max_part, min_part))
 
 
+def test_partition_counts_cost_no_more_than_the_weight():
+    # caps above the weight are never stored, so a huge max_part is cheap
+    counts = partition_counts(10**12, 2)
+    assert [next(counts) for _ in range(25)] == [len(partitions(g, g, 2)) for g in range(25)]
+
+
 def test_dim_series_checks_without_enumerating(monkeypatch):
     def enumerate_partitions(*args):
         raise AssertionError("dim_series must not enumerate partitions")
