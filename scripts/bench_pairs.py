@@ -13,8 +13,10 @@ follows the pairs.  The file is written to BENCH_<N>.json in the current
 directory.
 
 For each end-to-end metric of the change's BENCHMARK.json the file records
-every run's value, the median and quartiles of each side, and per pair
-whether the change reads better.  Standard library only.
+every run's value, the median and quartiles of each side, per pair
+whether the change reads better, and `worse_than_bound`: whether the
+change's median is worse than the parent's by more than the metric's
+relative `bound`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,18 +51,21 @@ def spread(values):
 
 
 def paired(metric, parent, change):
-    """Wins of the change over the pairs, and the relative move of the median."""
+    """Wins of the change over the pairs, the relative move of the median,
+    and whether that move is worse than the metric's relative bound."""
     sign = 1 if metric["better"] == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     ties = sum(p == c for p, c in zip(parent, change))
     base = statistics.median(parent)
+    rel = (statistics.median(change) - base) / base if base else 0.0
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     return {
         "change_wins": wins,
         "ties": ties,
         "pairs": len(parent),
-        "median_change_rel": round((statistics.median(change) - base) / base, 4) if base else 0.0,
+        "median_change_rel": round(rel, 4),
         "bound": metric["bound"],
+        "worse_than_bound": sign * rel > metric["bound"],
         "parent_iqr": round(q3 - q1, 4),
     }
 

@@ -3,13 +3,15 @@
 Subcommands: basis, perpetuants, dims, stroh, verify, qn, relations,
 oracle.  Output is byte-deterministic for fixed arguments; --format json
 emits the documented schemas.  Exit codes: 0 success, 1 when a
-certificate reports a failure, 2 on usage errors.
+certificate reports a failure, 2 on usage errors, 141 (128 + SIGPIPE)
+when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 
@@ -312,7 +314,16 @@ def _emit_series(series, args, out):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # interpreter's own flush at exit does not fail again, and exit as
+        # a shell reports a process ended by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

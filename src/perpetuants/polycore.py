@@ -42,17 +42,20 @@ class BiDegreeError(ValueError):
         self.second = second
 
 
-class ExponentVector:
+class ExponentVector(tuple):
     """Finite map from variable index to a positive exponent.
 
-    Zero exponents are dropped on construction.  The ordering used by
-    `lex_less` is plain lexicographic on the exponent sequence read in
-    increasing variable index (missing indices count as exponent 0).
+    The vector is the tuple of its (index, exponent) pairs in increasing
+    index; zero exponents are dropped on construction.  So it equals and
+    hashes as that plain tuple, and has `len`, iteration and tuple order:
+    `<` is tuple order.  `lex_less` is plain lexicographic order on the
+    exponent sequence read in increasing variable index (missing indices
+    count as exponent 0).
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
-    def __init__(self, entries=()):
+    def __new__(cls, entries=()):
         items = []
         for i, e in sorted(dict(entries).items()):
             if e == 0:
@@ -60,33 +63,35 @@ class ExponentVector:
             if i < 0 or e < 0 or int(i) != i or int(e) != e:
                 raise ValueError(f"bad exponent entry {i}^{e}")
             items.append((int(i), int(e)))
-        self._entries = tuple(items)
+        return tuple.__new__(cls, items)
+
+    @classmethod
+    def _of(cls, pairs):
+        """The vector of pairs already sorted by index and positive; unchecked."""
+        return tuple.__new__(cls, pairs)
 
     @property
     def entries(self):
-        return self._entries
+        return tuple(self)
 
     def degree(self):
-        return sum(e for _, e in self._entries)
+        return sum(e for _, e in self)
 
     def weight(self):
         """Sum of index*exponent; meaningful for a-variables."""
-        return sum(i * e for i, e in self._entries)
+        return sum(i * e for i, e in self)
 
     def get(self, index):
-        for i, e in self._entries:
-            if i == index:
-                return e
-        return 0
+        return dict(self).get(index, 0)
 
     def indices(self):
-        return tuple(i for i, _ in self._entries)
+        return tuple(i for i, _ in self)
 
     def __mul__(self, other):
-        merged = dict(self._entries)
-        for i, e in other._entries:
+        merged = dict(self)
+        for i, e in other:
             merged[i] = merged.get(i, 0) + e
-        return ExponentVector(merged)
+        return ExponentVector._of(sorted(merged.items()))
 
     def lex_key(self):
         """Key whose tuple order is the `lex_less` order.
@@ -94,7 +99,7 @@ class ExponentVector:
         The pairs (-i, e) run in increasing index i, so a vector with a
         positive exponent at an index that the other lacks sorts higher.
         """
-        return tuple((-i, e) for i, e in self._entries)
+        return tuple((-i, e) for i, e in self)
 
     def lex_less(self, other):
         """r < s iff r_k < s_k at the first index where they differ."""
@@ -102,28 +107,22 @@ class ExponentVector:
 
     def as_tuple(self, length, first_index=0):
         out = [0] * length
-        for i, e in self._entries:
+        for i, e in self:
             pos = i - first_index
             if not 0 <= pos < length:
                 raise ValueError(f"index {i} outside [{first_index}, {first_index + length})")
             out[pos] = e
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, ExponentVector) and self._entries == other._entries
-
-    def __hash__(self):
-        return hash(self._entries)
-
     def __repr__(self):
-        return f"ExponentVector({dict(self._entries)!r})"
+        return f"ExponentVector({dict(self)!r})"
 
 
 def _canon_key(ev):
     # Graded order for printing/iteration: total degree first, then the
     # exponent of the lowest-indexed variable, descending.
     flat = []
-    for i, e in ev.entries:
+    for i, e in ev:
         flat.append(i)
         flat.append(-e)
     return (-ev.degree(), tuple(flat))
@@ -153,7 +152,7 @@ class Poly:
         for ev, c in (terms.items() if isinstance(terms, dict) else terms):
             if not isinstance(ev, ExponentVector):
                 ev = ExponentVector(ev)
-            if family == "L" and ev.entries and ev.entries[0][0] == 0:
+            if family == "L" and ev and ev[0][0] == 0:
                 raise ValueError("L-variables are indexed from 1")
             c = _exact(_exact(c) + collected.get(ev, 0))
             if c:
@@ -308,7 +307,7 @@ class Poly:
         powers = {0: Poly.constant(self.family, 1)}
         for ev, c in self._terms.items():
             e = ev.get(index)
-            rest = ExponentVector({i: x for i, x in ev.entries if i != index})
+            rest = ExponentVector._of(pair for pair in ev if pair[0] != index)
             if e not in powers:
                 p = powers[max(powers)]
                 for k in range(max(powers) + 1, e + 1):
@@ -347,9 +346,9 @@ class Poly:
         chunks = []
         for ev, c in self.terms():
             factors = []
-            if abs(c) != 1 or not ev.entries:
+            if abs(c) != 1 or not ev:
                 factors.append(str(abs(c)))
-            for i, e in ev.entries:
+            for i, e in ev:
                 factors.append(
                     self._var_name(i) if e == 1 else f"{self._var_name(i)}^{e}"
                 )
@@ -366,7 +365,7 @@ class Poly:
         terms = []
         for ev, c in self.terms():
             entry = {"c": str(c)}
-            entry["e"] = {str(i): e for i, e in ev.entries}
+            entry["e"] = {str(i): e for i, e in ev}
             terms.append(entry)
         return {"family": self.family, "terms": terms}
 

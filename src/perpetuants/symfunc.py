@@ -368,8 +368,8 @@ def _expand_forms(forms, n):
     return Poly(
         "L",
         {
-            ExponentVector(
-                {j: (mono >> s) & mask for j, s in shift.items()}
+            ExponentVector._of(
+                [(j, e) for j, s in shift.items() if (e := (mono >> s) & mask)]
             ): a
             for mono, a in acc.items()
         },

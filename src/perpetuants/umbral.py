@@ -117,7 +117,7 @@ def _a_exponent(parts):
     exps = {}
     for x in parts:
         exps[x] = exps.get(x, 0) + 1
-    return ExponentVector(exps)
+    return ExponentVector._of(sorted(exps.items()))
 
 
 def derivation_D(p):
@@ -184,6 +184,10 @@ def a_monomial_for(partition, n):
         padded = partition.padded(n)
     else:
         padded = tuple(partition) + (0,) * (n - len(partition))
+        if len(padded) != n:
+            raise ValueError("more parts than variables")
+        if any(x < 0 for x in padded):
+            raise ValueError("parts must be nonnegative")
     return Poly.monomial("a", _a_exponent(padded))
 
 

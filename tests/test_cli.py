@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,23 @@ def test_run_builds_no_parser_per_call(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", rebuild)
     code, _, _ = call("dims", "3", "--gmax", "4")
     assert code == 0
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # `qn 6` prints 669,664 bytes, far more than a pipe buffer holds, so
+    # the program is still writing when the reader goes away
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perpetuants.cli", "qn", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

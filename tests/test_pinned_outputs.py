@@ -21,6 +21,8 @@ DIGESTS = {
     "basis 5 15 --format json": "c55e08515a9fc7d1445879501156ab7eda24831e1b7ea28c8f7825332732953c",
     "perpetuants 5 17 --format json": "15291d57190d232508daf5407430efe207d9a0f66b3fdde2c953cf084a34424b",
     "qn 5 --format json": "6b577a3efc03d3ae44f25e5107361ff28b92065b57e7047bd4f0c53c5dcbf563",
+    "qn 6": "2c6b381590589312a953396dc9dd04a3ae408a5278d8daf1b825e8f4b95ad45c",
+    "qn 6 --format json": "6bed7ea441e16d200b62794420b3505cd501430a59d54d5d338e20de5601d25c",
     "relations --format json": "f9d86ef0d2ec25b197068bca13a18bffe0f6500fbb07839fd4b87c0cf3068d27",
     "basis 4 8": "170ca11171b5b6ca997a1d1d404b80118e7ea3ed7c0b5b737ec3b750a61b5605",
     "basis 5 15 --primitive": "baaf35af468ff42473ac3eb4923a151ffea6fee124b241f29502c16fc83e4b94",

@@ -64,6 +64,49 @@ def test_exponent_vector_product_merges():
     assert ev == ExponentVector({0: 2, 2: 3})
 
 
+def test_exponent_vector_is_its_tuple_of_pairs():
+    # the key hashes and compares in C, as the plain tuple of its pairs
+    assert ExponentVector.__hash__ is tuple.__hash__
+    assert ExponentVector.__eq__ is tuple.__eq__
+    ev = ExponentVector({3: 1, 0: 2})
+    assert ev == ((0, 2), (3, 1)) and hash(ev) == hash(((0, 2), (3, 1)))
+    assert len(ev) == 2 and not hasattr(ev, "__dict__")
+
+
+def _same_key(ev, expected):
+    assert type(ev) is ExponentVector
+    assert ev == expected and hash(ev) == hash(expected)
+    assert ev.entries == expected.entries
+
+
+exponent_maps = st.dictionaries(st.integers(0, 6), st.integers(0, 4), max_size=5)
+
+
+@given(exponent_maps, exponent_maps)
+@settings(max_examples=200, deadline=None)
+def test_product_key_equals_validated_key(r, s):
+    product = {i: r.get(i, 0) + s.get(i, 0) for i in r.keys() | s.keys()}
+    _same_key(ExponentVector(r) * ExponentVector(s), ExponentVector(product))
+
+
+@given(st.lists(st.integers(0, 8), max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_a_exponent_key_equals_validated_key(parts):
+    from perpetuants.umbral import _a_exponent
+
+    counts = {x: parts.count(x) for x in parts}
+    _same_key(_a_exponent(parts), ExponentVector(counts))
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n // 2))))
+@settings(max_examples=20, deadline=None)
+def test_expand_forms_keys_equal_validated_keys(nh):
+    from perpetuants.symfunc import p_h
+
+    for ev in p_h(*nh).exponents():
+        _same_key(ev, ExponentVector(dict(ev)))
+
+
 # --------------------------------------------------------------- arithmetic
 
 

@@ -20,6 +20,7 @@ from perpetuants import (
 )
 from perpetuants.symfunc import elementary
 from perpetuants.umbral import (
+    a_monomial_for,
     potenziante_tensor,
     tensor_apply_D,
     tensor_equal,
@@ -78,6 +79,16 @@ def test_umbral_partial_lowers():
     assert u.partial(1).terms == {(2, 1): 1}
     assert u.partial(2).terms == {(3, 0): 1}
     assert u.partial(2).partial(2).terms == {}
+
+
+def test_a_monomial_for_rejects_more_parts_than_variables():
+    with pytest.raises(ValueError, match="more parts than variables"):
+        a_monomial_for((3, 2, 1), 2)
+
+
+def test_a_monomial_for_rejects_negative_parts():
+    with pytest.raises(ValueError):
+        a_monomial_for((3, -1), 2)
 
 
 # -------------------------------------------------------------- derivation D
