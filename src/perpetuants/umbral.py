@@ -26,6 +26,14 @@ from .symfunc import (
 )
 
 
+def _exponents(r):
+    """r as a tuple of ints; ValueError unless each is a nonnegative integer."""
+    r = tuple(r)
+    if any(x < 0 or int(x) != x for x in r):
+        raise ValueError("exponents must be nonnegative integers")
+    return tuple(map(int, r))
+
+
 @dataclass(frozen=True)
 class UmbralMonomial:
     """Divided-power exponents (r1,...,rn) of the n umbrae."""
@@ -34,11 +42,9 @@ class UmbralMonomial:
     ambient: int
 
     def __post_init__(self):
-        r = tuple(self.r)
+        r = _exponents(self.r)
         if len(r) != self.ambient:
             raise ValueError("exponent list must have length ambient")
-        if any(x < 0 for x in r):
-            raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "r", r)
 
 
@@ -49,7 +55,7 @@ class UmbralPoly:
         self.n = n
         collected = {}
         for r, c in (terms.items() if isinstance(terms, dict) else terms):
-            r = tuple(r)
+            r = _exponents(r)
             if len(r) != n:
                 raise ValueError("wrong number of umbrae")
             c = Fraction(c) + collected.get(r, 0)
@@ -183,11 +189,9 @@ def a_monomial_for(partition, n):
     if isinstance(partition, Partition):
         padded = partition.padded(n)
     else:
-        padded = tuple(partition) + (0,) * (n - len(partition))
+        padded = _exponents(partition) + (0,) * (n - len(partition))
         if len(padded) != n:
             raise ValueError("more parts than variables")
-        if any(x < 0 for x in padded):
-            raise ValueError("parts must be nonnegative")
     return Poly.monomial("a", _a_exponent(padded))
 
 

@@ -278,7 +278,6 @@ def test_closed_stdout_exits_141_without_traceback():
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 141
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
     assert err == b""

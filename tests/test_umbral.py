@@ -81,14 +81,20 @@ def test_umbral_partial_lowers():
     assert u.partial(2).partial(2).terms == {}
 
 
+@pytest.mark.parametrize("r", [(-1, 2), (1.5, 0)])
+def test_umbral_exponents_must_be_nonnegative_integers(r):
+    # E trusts the exponents it is given, so the umbral side checks them
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        UmbralPoly(2, [(r, 1)])
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        UmbralMonomial(r, 2)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        a_monomial_for(r, 2)
+
+
 def test_a_monomial_for_rejects_more_parts_than_variables():
     with pytest.raises(ValueError, match="more parts than variables"):
         a_monomial_for((3, 2, 1), 2)
-
-
-def test_a_monomial_for_rejects_negative_parts():
-    with pytest.raises(ValueError):
-        a_monomial_for((3, -1), 2)
 
 
 # -------------------------------------------------------------- derivation D
