@@ -81,6 +81,8 @@ def kernel_oracle(n, g, max_var=None):
     monomial basis to the (n,g-1) one and extract its null space by
     fraction-free elimination.  Independent of `u_basis` by construction.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     index = monomial_index(n, g)
     source = [
         j
@@ -111,6 +113,8 @@ def dim_series(n, g_max):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if g_max < 0:
+        raise ValueError("negative weight")
     coeffs = [0] * (g_max + 1)
     coeffs[0] = 1
     for part in range(2, n + 1):

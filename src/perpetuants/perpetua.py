@@ -34,6 +34,8 @@ def stroh_series(n, g_max):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if g_max < 0:
+        raise ValueError("negative weight")
     coeffs = [0] * (g_max + 1)
     if n == 1:
         coeffs[0] = 1

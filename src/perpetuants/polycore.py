@@ -121,11 +121,12 @@ class ExponentVector(tuple):
 def _canon_key(ev):
     # Graded order for printing/iteration: total degree first, then the
     # exponent of the lowest-indexed variable, descending.
-    flat = []
+    degree, flat = 0, []
     for i, e in ev:
+        degree += e
         flat.append(i)
         flat.append(-e)
-    return (-ev.degree(), tuple(flat))
+    return (-degree, tuple(flat))
 
 
 _FAMILIES = ("a", "L")

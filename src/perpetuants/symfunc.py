@@ -12,8 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, permutations, repeat
-from operator import add, mul
+from itertools import combinations, count, permutations
 
 from .polycore import ExponentVector, Poly
 
@@ -186,8 +185,8 @@ class TransitionMatrix:
 
     direction "beta": column k holds the expansion of e^k in the m-basis.
     In the canonical order beta is lower unitriangular.
-    direction "alpha": the exact inverse of beta, obtained from it by
-    integer forward substitution; its column h expands m_h in the
+    direction "alpha": the exact inverse of beta, built without it by
+    the Pieri step read backwards; its column h expands m_h in the
     e-monomials, and the row paired with column index k carries the
     m-coefficients of the invariant attached to k.
     """
@@ -209,112 +208,105 @@ class TransitionMatrix:
         return json.dumps(self.to_json_dict())
 
 
-def _lowerings(h, i):
-    """{mu: number of i-subsets S of the places of h with sort(h - 1_S) = mu}."""
-    counts = {}
-    for S in combinations(range(len(h)), i):
-        left = list(h)
-        for s in S:
-            left[s] -= 1
-        mu = tuple(sorted(filter(None, left), reverse=True))
-        counts[mu] = counts.get(mu, 0) + 1
-    return counts
+def _pieri_table(n, g, i):
+    """For each partition mu of g - i with at most n parts, in order, the
+    expansion e_i * m_mu = sum c * m_h over the partitions h of g, as a
+    dict {position of h: c}.
+
+    By the Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.6), c counts the i-subsets S of the places of h with sort(h - 1_S) =
+    mu, so each h is lowered once.
+    """
+    position = {p.parts: j for j, p in enumerate(partitions_at_most(g - i, n))}
+    table = [{} for _ in position]
+    for j, h in enumerate(partitions_at_most(g, n)):
+        for S in combinations(range(len(h)), i):
+            left = list(h.parts)
+            for s in S:
+                left[s] -= 1
+            expansion = table[position[tuple(sorted(filter(None, left), reverse=True))]]
+            expansion[j] = expansion.get(j, 0) + 1
+    return table, position
 
 
 @lru_cache(maxsize=None)
-def _beta_entries(n, g):
-    """The entries of beta(n, g), by one Pieri step from smaller weights.
+def _entries(n, g, direction):
+    """The entries of beta(n, g) or alpha(n, g), column by column from the
+    same matrix at the weights g - i and the Pieri tables of (n, g, i).
 
-    Column lambda of beta is the e-monomial e^k with k_j = lambda_j -
-    lambda_(j+1); with i = len(lambda), e^k = e_i * e^(k - eps_i), and
-    k - eps_i is the column lambda - (1,...,1) of beta(n, g - i).  The
-    coefficient of L^h in m_mu * e_i counts the i-subsets S of the places
-    of h with sort(h - 1_S) = mu, so each row h is lowered once per i
-    (`_lowerings`) and each entry is a sum of at most C(n, i) products.
-    Reads the beta(n, g - i) entries from this cache, so the smaller
-    weights must be filled first.
+    Column j of either matrix belongs to the partition lam = rows[j]; with
+    i = len(lam), its parent is the column lam - (1^i) of weight g - i.
+    beta: e^k = e_i * e^(k - eps_i), so column j is the table applied to
+    the parent column.  alpha: h = lam has e_i * m_(h - (1^i)) = m_h +
+    sum c * m_mu over mu strictly later (asserted), and e_i * e^k raises
+    the e-index partition by 1 in its first i places, so column j is the
+    raised parent column minus sum c * (column mu), filled from the last
+    column back.  Reads the smaller weights from this cache, so they must
+    be filled first.
     """
     if g == 0:
         return [[1]]
     rows = partitions_at_most(g, n)
-    lower, position, parents = {}, {}, {}
+    position = {p.parts: j for j, p in enumerate(rows)}
+    steps = {}
     for i in range(1, min(n, g) + 1):
-        lower[i] = _beta_entries(n, g - i)
-        position[i] = {p.parts: j for j, p in enumerate(partitions_at_most(g - i, n))}
-        parents[i] = []
-    col_i = [len(lam) for lam in rows]
-    for lam, i in zip(rows, col_i):
-        parents[i].append(position[i][tuple(p - 1 for p in lam.parts if p > 1)])
-    entries = []
-    for h in rows:
-        # one lazy sum per i over the columns with that i, read in order
-        segs = {}
-        for i, pcs in parents.items():
-            seg = repeat(0, len(pcs))
-            for mu, c in _lowerings(h.parts, i).items():
-                vals = map(lower[i][position[i][mu]].__getitem__, pcs)
-                if c != 1:
-                    vals = map(mul, vals, repeat(c))
-                seg = map(add, seg, vals)
-            segs[i] = seg
-        entries.append([next(segs[i]) for i in col_i])
-    return entries
+        table, lower = _pieri_table(n, g, i)
+        raised = [
+            position[tuple(p + 1 for p in (mu + (0,) * i)[:i]) + mu[i:]] for mu in lower
+        ]
+        steps[i] = table, lower, raised, _entries(n, g - i, direction)
+    cols = [None] * len(rows)
+    for j in reversed(range(len(rows))):
+        table, lower, raised, smaller = steps[len(rows[j])]
+        parent = lower[tuple(p - 1 for p in rows[j].parts if p > 1)]
+        col = [0] * len(rows)
+        if direction == "beta":
+            for b, expansion in zip((row[parent] for row in smaller), table):
+                if b:
+                    for h, c in expansion.items():
+                        col[h] += b * c
+        else:
+            for p, row in zip(raised, smaller):
+                col[p] = row[parent]
+            expansion = table[parent]
+            if expansion.get(j) != 1 or min(expansion) < j:
+                raise AssertionError(
+                    f"the ({n},{g}) Pieri step does not lead with m_h at h = {rows[j]}"
+                )
+            for mu, c in expansion.items():
+                if mu != j:
+                    col = [a - c * b for a, b in zip(col, cols[mu])]
+        cols[j] = col
+    return [list(row) for row in zip(*cols)]
+
+
+def _matrix(n, g, direction):
+    # the smaller weights in increasing order keep the stack depth flat
+    for w in range(g):
+        _entries(n, w, direction)
+    return TransitionMatrix(
+        partitions_at_most(g, n), e_indices(n, g), _entries(n, g, direction), direction
+    )
 
 
 @lru_cache(maxsize=None)
 def transition_beta(n, g):
     """beta[h][k] = coefficient of the sorted monomial L^h in e^k.
 
-    Built by the Pieri rule (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.6): column k is e_i times column k - eps_i of beta(n,
-    g - i), for the largest i with k_i > 0, expanded in the m-basis.  The
-    smaller weights are filled in increasing order, so each step finds
-    its beta(n, g - i) cached and the stack depth does not grow with g.
+    Column k is e_i times column k - eps_i of beta(n, g - i), for the
+    largest i with k_i > 0, expanded in the m-basis by the Pieri table.
     """
-    for w in range(g):
-        _beta_entries(n, w)
-    return TransitionMatrix(
-        partitions_at_most(g, n), e_indices(n, g), _beta_entries(n, g), "beta"
-    )
-
-
-def _unitriangular_inverse(entries, n, g):
-    """Inverse of a lower unitriangular integer matrix by forward substitution.
-
-    Row i of the inverse is e_i - sum_{l < i} entries[i][l] * (row l).
-    Raises AssertionError, naming (n, g), unless the matrix is lower
-    unitriangular.
-    """
-    size = len(entries)
-    for i, row in enumerate(entries):
-        if row[i] != 1 or any(row[i + 1:]):
-            raise AssertionError(
-                f"the ({n},{g}) beta is not lower unitriangular at row {i}"
-            )
-    inverse = []
-    for i, row in enumerate(entries):
-        out = [0] * size
-        out[i] = 1
-        for l in range(i):
-            b = row[l]
-            if b:
-                for j, a in enumerate(inverse[l][: l + 1]):
-                    if a:
-                        out[j] -= b * a
-        inverse.append(out)
-    return inverse
+    return _matrix(n, g, "beta")
 
 
 @lru_cache(maxsize=None)
 def transition_alpha(n, g):
-    """Exact integer inverse of beta, by forward substitution.
+    """alpha[k][h] = coefficient of e^k in m_h, the inverse of beta.
 
-    Relies on beta being lower unitriangular in the canonical order,
-    which is checked whenever alpha is built (AssertionError otherwise).
+    Column h is read backwards off the same Pieri table as beta, without
+    building beta: m_h = e_i * m_(h - (1^i)) minus later m_mu.
     """
-    beta = transition_beta(n, g)
-    entries = _unitriangular_inverse(beta.entries, n, g)
-    return TransitionMatrix(beta.rows, beta.cols, entries, "alpha")
+    return _matrix(n, g, "alpha")
 
 
 def bar_reduce(p, n):

@@ -13,6 +13,7 @@ from perpetuants import (
     is_translation_invariant,
     kernel_oracle,
     span_equal,
+    stroh_series,
     u_basis,
 )
 from perpetuants import basis as basis_mod
@@ -186,6 +187,21 @@ def test_dim_series_n1():
 
 def test_dim_series_n4_at_6():
     assert dim_series(4, 6)[6] == 3
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: dim_series(3, -1), "negative weight"),
+        (lambda: stroh_series(3, -1), "negative weight"),
+        (lambda: kernel_oracle(0, 0), "need n >= 1"),
+        (lambda: u_basis(0, 0), "need n >= 1"),
+    ],
+    ids=["dim_series", "stroh_series", "kernel_oracle", "u_basis"],
+)
+def test_out_of_range_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_partition_counts_match_enumeration():

@@ -20,6 +20,7 @@ from perpetuants import (
 )
 from perpetuants.basis import span_rank
 from perpetuants.perpetua import decomposable_rows, index_count
+from perpetuants import symfunc
 from perpetuants.symfunc import transition_alpha
 from perpetuants.umbral import monomial_index
 
@@ -195,14 +196,38 @@ def test_certificate_3_3():
     assert cert.direct_sum_ok
 
 
+def _start_cold():
+    # so that no cached step is skipped
+    transition_alpha.cache_clear()
+    symfunc._entries.cache_clear()
+    monomial_index.cache_clear()
+
+
 def test_certificate_builds_no_poly(monkeypatch):
     def refuse(self, family, terms=()):
         raise AssertionError("the certificate must not build a Poly")
 
-    # start cold, so that no cached step is skipped
-    transition_alpha.cache_clear()
-    monomial_index.cache_clear()
+    _start_cold()
     monkeypatch.setattr(Poly, "__init__", refuse)
+    cert = verify_complement(5, 14)
+    monkeypatch.undo()
+    assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
+
+
+def test_certificate_builds_no_beta(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certificate must not build beta")
+
+    entries = symfunc._entries
+
+    def alpha_only(n, g, direction):
+        if direction == "beta":
+            refuse()
+        return entries(n, g, direction)
+
+    _start_cold()
+    monkeypatch.setattr(symfunc, "transition_beta", refuse)
+    monkeypatch.setattr(symfunc, "_entries", alpha_only)
     cert = verify_complement(5, 14)
     monkeypatch.undo()
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"

@@ -1,14 +1,16 @@
 """Symmetric-function side: partitions, transition matrices, the bar
 reduction, p_h / q_n and leading exponents."""
 
+import hashlib
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from linalg_reference import invert, matmul
+from linalg_reference import matmul
 
 from perpetuants import (
     ExponentVector,
@@ -26,7 +28,8 @@ from perpetuants import (
     transition_alpha,
     transition_beta,
 )
-from perpetuants.symfunc import _unitriangular_inverse, e_indices, elementary
+from perpetuants import symfunc
+from perpetuants.symfunc import e_indices, elementary
 
 
 def L(i):
@@ -165,8 +168,8 @@ def test_alpha_beta_identity(n, g):
 @pytest.mark.parametrize("n,g", [(3, 5), (4, 6), (5, 7)])
 def test_beta_triangularity_recorded(n, g):
     # under the reverse-lexicographic pairing beta is LOWER unitriangular
-    # with nonnegative entries.  transition_alpha relies on the
-    # unitriangularity (forward substitution) and checks it on every call.
+    # with nonnegative entries.  transition_alpha does not read beta; the
+    # same order makes its Pieri step lead with m_h, checked on every call.
     beta = transition_beta(n, g)
     size = len(beta.rows)
     for i in range(size):
@@ -175,6 +178,58 @@ def test_beta_triangularity_recorded(n, g):
             assert beta.entries[i][j] == 0
         for j in range(size):
             assert beta.entries[i][j] >= 0
+
+
+# every transition matrix of these cells, in this order, hashed through to_json
+GRID = (
+    [(n, g) for n in range(1, 7) for g in range(19)]
+    + [(7, g) for g in range(15)]
+    + [(8, g) for g in range(13)]
+)
+
+
+@pytest.mark.parametrize(
+    "f,digest",
+    [
+        (transition_alpha, "91edfbd2fe8a98c911385da7134e73da063a65cc72833df9848dd17599628287"),
+        (transition_beta, "b429943e7d2d2215d650c874503f0704bbcd9080b517f1b11bb4abe2bca5b1fd"),
+    ],
+    ids=["alpha", "beta"],
+)
+def test_transition_matrices_pinned_over_grid(f, digest):
+    text = "".join(f(n, g).to_json() for n, g in GRID)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "corrupt,h",
+    [
+        # the coefficient of m_(3,2) in e_2 * m_(2,1) read as 2
+        (lambda expansion: {j: 2 * c for j, c in expansion.items()}, "3+2"),
+        # an extra m_(5), earlier than (3,2), in e_2 * m_(2,1)
+        (lambda expansion: {0: 1} | expansion, "3+2"),
+    ],
+    ids=["leading-count", "earlier-partition"],
+)
+def test_alpha_rejects_a_corrupted_pieri_count(monkeypatch, corrupt, h):
+    table = symfunc._pieri_table
+
+    def corrupted(n, g, i):
+        rows, position = table(n, g, i)
+        if (n, g, i) == (3, 5, 2):
+            rows = [corrupt(expansion) for expansion in rows]
+        return rows, position
+
+    transition_alpha.cache_clear()
+    symfunc._entries.cache_clear()
+    monkeypatch.setattr(symfunc, "_pieri_table", corrupted)
+    with pytest.raises(AssertionError, match=rf"\(3,5\) .* h = {re.escape(h)}$"):
+        transition_alpha(3, 5)
+    monkeypatch.undo()
+    # the failed cell is not cached
+    assert matmul(transition_alpha(3, 5).entries, transition_beta(3, 5).entries) == [
+        [int(i == j) for j in range(5)] for i in range(5)
+    ]
 
 
 @pytest.mark.parametrize("n,g", [(n, g) for n in range(1, 6) for g in range(0, 11)])
@@ -268,32 +323,6 @@ def test_e_indices_match_enumeration_sorted_by_suffix_sums():
     for n in range(1, 8):
         for g in range(21):
             assert e_indices(n, g) == _e_indices_reference(n, g), (n, g)
-
-
-@pytest.mark.parametrize(
-    "matrix",
-    [[[1, 0, 0], [2, 1, 5], [0, 3, 1]], [[1, 0], [4, 2]]],
-    ids=["above-diagonal", "diagonal"],
-)
-def test_unitriangular_inverse_rejects_other_matrices(matrix):
-    with pytest.raises(AssertionError, match=r"\(7,9\)"):
-        _unitriangular_inverse(matrix, 7, 9)
-
-
-@st.composite
-def lower_unitriangular(draw):
-    n = draw(st.integers(1, 6))
-    entry = st.integers(-5, 5)
-    return [
-        [1 if i == j else (draw(entry) if i > j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-@given(lower_unitriangular())
-@settings(max_examples=40, deadline=None)
-def test_unitriangular_inverse_matches_general_inversion(m):
-    assert _unitriangular_inverse(m, len(m), 0) == invert(m)
 
 
 def test_matrix_json_schema():
