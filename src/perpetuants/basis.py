@@ -117,11 +117,13 @@ def dim_series(n, g_max):
         raise ValueError("negative weight")
     coeffs = [0] * (g_max + 1)
     coeffs[0] = 1
-    for part in range(2, n + 1):
+    # a part above g_max adds nothing up to g_max
+    top = min(n, g_max)
+    for part in range(2, top + 1):
         # multiply by 1/(1 - x^part)
         for g in range(part, g_max + 1):
             coeffs[g] += coeffs[g - part]
-    for g, (c, count) in enumerate(zip(coeffs, partition_counts(n, 2))):
+    for g, (c, count) in enumerate(zip(coeffs, partition_counts(top, 2))):
         if c != count:
             raise AssertionError(f"dimension series mismatch at ({n},{g})")
     return DimensionSeries(n, coeffs)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from .basis import in_span, kernel_oracle
+from .perpetua import decomposable_span
 from .polycore import ExponentVector, Poly
 
 
@@ -85,32 +86,42 @@ INVARIANT_C = Poly.parse(
 )
 
 
+def _quotient(p, power, expected, name):
+    q = divide_by_a0_power(p, power)
+    if q != expected:
+        raise AssertionError(f"{name} quotient does not match")
+    return q
+
+
 def verify_s3():
     """Check 8 c2^3 + 9 c3^2 = a0^2 D and return the discriminant D."""
     c2, c3 = c_k(2), c_k(3)
-    lhs = c2 ** 3 * 8 + c3 ** 2 * 9
-    d = divide_by_a0_power(lhs, 2)
-    if d != DISCRIMINANT_CUBIC:
-        raise AssertionError("discriminant quotient does not match")
-    return d
+    return _quotient(c2 ** 3 * 8 + c3 ** 2 * 9, 2, DISCRIMINANT_CUBIC, "discriminant")
+
+
+def verify_b():
+    """Check 2 c4 + c2^2 = a0^2 B and return B."""
+    c2, c4 = c_k(2), c_k(4)
+    return _quotient(c4 * 2 + c2 ** 2, 2, INVARIANT_B, "B")
+
+
+def verify_c():
+    """Check 6 c2 B - D = -a0 C for the classical B and D, plus the closing
+    relation 6 a0^2 c2 B + a0^3 C - 8 c2^3 - 9 c3^2 = 0.  Returns C."""
+    c2, c3 = c_k(2), c_k(3)
+    c = _quotient(DISCRIMINANT_CUBIC - c2 * INVARIANT_B * 6, 1, INVARIANT_C, "C")
+    a0 = Poly.variable("a", 0)
+    closing = a0 ** 2 * c2 * INVARIANT_B * 6 + a0 ** 3 * c - c2 ** 3 * 8 - c3 ** 2 * 9
+    if not closing.is_zero():
+        raise AssertionError("closing relation fails")
+    return c
 
 
 def verify_s4():
     """Check 2 c4 + c2^2 = a0^2 B and 6 c2 B - D = -a0 C, plus the closing
-    relation 6 a0^2 c2 B + a0^3 C - 8 c2^3 - 9 c3^2 = 0.  Returns (B, C)."""
-    c2, c3, c4 = c_k(2), c_k(3), c_k(4)
-    b = divide_by_a0_power(c4 * 2 + c2 ** 2, 2)
-    if b != INVARIANT_B:
-        raise AssertionError("B quotient does not match")
-    d = verify_s3()
-    c = divide_by_a0_power(-(c2 * b * 6 - d), 1)
-    if c != INVARIANT_C:
-        raise AssertionError("C quotient does not match")
-    a0 = Poly.variable("a", 0)
-    closing = a0 ** 2 * c2 * b * 6 + a0 ** 3 * c - c2 ** 3 * 8 - c3 ** 2 * 9
-    if not closing.is_zero():
-        raise AssertionError("closing relation fails")
-    return b, c
+    relation, which with the second gives a0^2 D = 8 c2^3 + 9 c3^2.
+    Returns (B, C)."""
+    return verify_b(), verify_c()
 
 
 @dataclass
@@ -123,15 +134,36 @@ class MembershipReport:
 
 
 def discriminant_decomposable_check():
-    from .perpetua import decomposable_span
-
-    b, c = verify_s4()
-    d = verify_s3()
+    """The identity and memberships of the classical D, B and C; raises
+    nothing when one fails."""
+    d = DISCRIMINANT_CUBIC
     a0 = Poly.variable("a", 0)
-    identity = d == c_k(2) * b * 6 + a0 * c
+    identity = d == c_k(2) * INVARIANT_B * 6 + a0 * INVARIANT_C
     in_dec = in_span(d, decomposable_span(4, 6))
     not_in_cubic_dec = not in_span(d, _cubic_algebra_decomposables())
     return MembershipReport(identity, in_dec, not_in_cubic_dec)
+
+
+def relation_checks():
+    """(name, ok, value) for each of the six classical checks, in a fixed
+    order.  A failed identity, or a quotient that is not exact, is
+    reported with its message as the value and never raised."""
+    checks = []
+    for name, verify in (
+        ("8*c2^3 + 9*c3^2 = a0^2*D", verify_s3),
+        ("2*c4 + c2^2 = a0^2*B", verify_b),
+        ("6*c2*B - D = -a0*C", verify_c),
+    ):
+        try:
+            checks.append((name, True, str(verify())))
+        except (AssertionError, ArithmeticError) as e:
+            checks.append((name, False, str(e)))
+    report = discriminant_decomposable_check()
+    return checks + [
+        ("D = 6*c2*B + a0*C", report.identity_holds, ""),
+        ("D decomposable in degree 4", report.in_limit_decomposables, ""),
+        ("D indecomposable over a0..a3", report.indecomposable_in_cubic_algebra, ""),
+    ]
 
 
 def _cubic_algebra_decomposables():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free (Bareiss) elimination.
+"""Exact linear algebra: fraction-free elimination on primitive rows.
 
 Matrices are lists of lists of ints or Fractions.  Rational input rows are
 scaled to integers first (row scaling preserves rank, row span and null
@@ -20,12 +20,6 @@ def _sparse_integer_rows(matrix):
     return out
 
 
-def _brought_up_to(row, stamp, prev):
-    if stamp == prev:
-        return row
-    return {j: x * prev // stamp for j, x in row.items()}
-
-
 def bareiss_echelon(matrix):
     """Fraction-free forward elimination.
 
@@ -34,28 +28,23 @@ def bareiss_echelon(matrix):
     input row it came from.  A pivot row is moved up, not swapped, so the
     rows below it keep their input order; input row i is then in
     `pivot_rows` exactly when it is not in the span of rows 0..i-1.
-    Division by the previous pivot is exact (Bareiss), since each entry
-    stays a minor of the input.
 
-    Rows are held as {column: entry} dicts, and the rows not yet used as
-    pivots are bucketed by their leading column, so a pivot updates only
-    the rows with a nonzero entry in its column.  A row that a pivot skips
-    would only be scaled by p / prev; those factors telescope, so each row
-    keeps the pivot of its last update (its stamp) and is brought up to
-    date, as x * prev // stamp, when it is next touched.  The result is
-    again a minor of the input, so that division is exact too, and the
-    returned rows equal those of the dense loop entry for entry.
+    A pivot p updates each row with an entry r in its column to
+    (p/g) * row - (r/g) * pivot_row, with g = gcd(p, r), divided by the gcd
+    of its entries; a row that no pivot touches is left as it is.  The
+    Bareiss row (Math. Comp. 22, 1968) spans the same line as each updated
+    row, which is primitive, so no entry exceeds a minor of the input.
+    Rows are {column: entry} dicts, bucketed by leading column while they
+    are not pivots, so a pivot updates only the rows that use its column.
     """
     sparse = _sparse_integer_rows(matrix)
     if not sparse:
         return [], [], []
     ncols = len(matrix[0])
-    stamps = [1] * len(sparse)
     below = {}  # leading column -> input indices of rows not yet pivots
     for i, row in enumerate(sparse):
         if row:
             below.setdefault(min(row), []).append(i)
-    prev = 1
     pivot_cols = []
     pivot_rows = []
     for c in range(ncols):
@@ -65,23 +54,24 @@ def bareiss_echelon(matrix):
         if bucket is None:
             continue
         pivot = min(bucket)
-        pivot_row = _brought_up_to(sparse[pivot], stamps[pivot], prev)
-        sparse[pivot] = pivot_row
+        pivot_row = sparse[pivot]
         p = pivot_row[c]
         for i in bucket:
             if i == pivot:
                 continue
-            row = _brought_up_to(sparse[i], stamps[i], prev)
-            ric = row[c]
-            update = {j: p * x for j, x in row.items()}
+            row = sparse[i]
+            g = gcd(p, row[c])
+            a, b = p // g, row[c] // g
+            update = {j: a * x for j, x in row.items()}
             for j, y in pivot_row.items():
-                update[j] = update.get(j, 0) - ric * y
-            row = {j: x // prev for j, x in update.items() if x}
-            sparse[i] = row
-            stamps[i] = p
+                update[j] = update.get(j, 0) - b * y
+            row = {j: x for j, x in update.items() if x}
             if row:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: x // content for j, x in row.items()}
                 below.setdefault(min(row), []).append(i)
-        prev = p
+            sparse[i] = row
         pivot_cols.append(c)
         pivot_rows.append(pivot)
     # every row that is not a pivot row has been reduced to zero
@@ -104,11 +94,12 @@ def rank(matrix):
 def nullspace(matrix, ncols=None):
     """Primitive integer basis of {x : M x = 0}, one vector per free column.
 
-    Each vector is solved in integers with its free entry set to the last
-    pivot, the determinant of the pivot block: by Cramer's rule every
-    pivot entry is then an integer, so each division is exact.  The vector
-    is zero on the other free columns, divided by its content and signed
-    so that its first nonzero entry is positive.
+    Each vector starts as 1 at its free column and 0 on the others, and is
+    solved from the last pivot row up over that row's nonzero entries.
+    Where a pivot p does not divide the row's sum s, the vector is first
+    scaled by p / gcd(s, p), so each division is exact.  The vector is then
+    divided by its content and signed so that its first nonzero entry is
+    positive: with one free entry fixed, it is unique up to scale.
     """
     if not matrix:
         if ncols is None:
@@ -118,7 +109,6 @@ def nullspace(matrix, ncols=None):
         ]
     rows, pivot_cols, _ = bareiss_echelon(matrix)
     ncols = len(rows[0])
-    det = rows[len(pivot_cols) - 1][pivot_cols[-1]] if pivot_cols else 1
     pivots = set(pivot_cols)
     tails = [
         [(j, row[j]) for j in range(c + 1, ncols) if row[j]]
@@ -128,17 +118,22 @@ def nullspace(matrix, ncols=None):
     for f in range(ncols):
         if f in pivots:
             continue
-        sol = [0] * ncols
-        sol[f] = det
+        sol = {f: 1}
         for r in range(len(pivot_cols) - 1, -1, -1):
             c = pivot_cols[r]
-            s = sum(x * sol[j] for j, x in tails[r])
-            q, rem = divmod(-s, rows[r][c])
+            p = rows[r][c]
+            s = sum(x * sol[j] for j, x in tails[r] if j in sol)
+            if s % p:
+                scale = p // gcd(s, p)
+                sol = {j: x * scale for j, x in sol.items()}
+                s *= scale
+            q, rem = divmod(-s, p)
             if rem:
                 raise AssertionError(f"inexact division in null space column {f}")
-            sol[c] = q
-        g = gcd(*sol)
-        if next(x for x in sol if x) < 0:
+            if q:
+                sol[c] = q
+        g = gcd(*sol.values())
+        if sol[min(sol)] < 0:
             g = -g
-        basis.append([x // g for x in sol])
+        basis.append([sol.get(j, 0) // g for j in range(ncols)])
     return basis

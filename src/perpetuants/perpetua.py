@@ -42,9 +42,10 @@ def stroh_series(n, g_max):
     elif n == 2:
         for g in range(2, g_max + 1, 2):
             coeffs[g] = 1
-    else:
+    elif n - 1 < (g_max + 1).bit_length():
+        # otherwise 2^(n-1) > g_max + 1 and the series is zero up to g_max
         shift = 2 ** (n - 1) - 1
-        base = dim_series(n, max(g_max - shift, 0)).coefficients
+        base = dim_series(n, g_max - shift).coefficients
         for g in range(shift, g_max + 1):
             coeffs[g] = base[g - shift]
     return DimensionSeries(n, coeffs)
@@ -205,7 +206,11 @@ def verify_complement(n, g):
     count.  All ranks are exact; a failed check is reported as data."""
     if n < 3:
         raise ValueError("certificates are defined for n >= 3")
-    # dim ker D, independent of alpha: a_0^n spans weight 0
+    # dim ker D, independent of alpha: a_0^n spans weight 0.  D is ranked
+    # in its own column order, not by row_ranks: on a 2-vCPU Xeon with
+    # CPython 3.11, sparsest columns first took 0.29 s against 0.094 s at
+    # (6,31), while that order takes the (6,25) products below from 0.61 s
+    # to 0.38 s.
     total = 1
     if g:
         total = len(monomial_index(n, g).parts) - linalg.rank(lowering_matrix(n, g))

@@ -275,7 +275,12 @@ def _entries(n, g, direction):
                 )
             for mu, c in expansion.items():
                 if mu != j:
-                    col = [a - c * b for a, b in zip(col, cols[mu])]
+                    # column mu is zero above row mu, as asserted below
+                    col[mu:] = [a - c * b for a, b in zip(col[mu:], cols[mu][mu:])]
+        if any(col[:j]):
+            raise AssertionError(
+                f"the ({n},{g}) {direction} column at h = {rows[j]} is not zero above its row"
+            )
         cols[j] = col
     return [list(row) for row in zip(*cols)]
 

@@ -1,6 +1,7 @@
-"""General exact matrix inverse and product, the reference that the
-transition matrices' forward substitution is tested against.  The package
-itself never inverts a general matrix."""
+"""General exact matrix inverse and product for the tests: `invert`
+exercises `linalg.bareiss_echelon` on augmented systems, and `matmul`
+checks alpha * beta = I between the two independent constructions of the
+transition matrices.  The package itself never inverts a matrix."""
 
 from fractions import Fraction
 

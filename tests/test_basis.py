@@ -166,6 +166,18 @@ def test_lowering_matrix_is_derivation_D(n):
             assert kernel_oracle(n, g, max_var=max_var) == kernel
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lowering_matrix_is_the_e1_pieri_table(n):
+    # D, built from partition arithmetic, and multiplication by e_1, built
+    # from the Pieri count, are dual: row mu of D is e_1 * m_mu, which is
+    # why the k1 = 0 rows of alpha are invariant.  The two constructions
+    # stay separate so that the kernel oracle does not depend on alpha.
+    for g in range(1, 15):
+        table, _ = symfunc._pieri_table(n, g, 1)
+        rows = [{h: c for h, c in enumerate(row) if c} for row in lowering_matrix(n, g)]
+        assert rows == table
+
+
 @pytest.mark.slow
 def test_kernel_oracle_first_degree6_perpetuant_cell():
     # (6,31) holds the first degree-6 perpetuant: weight 2^5 - 1
@@ -187,6 +199,11 @@ def test_dim_series_n1():
 
 def test_dim_series_n4_at_6():
     assert dim_series(4, 6)[6] == 3
+
+
+def test_dim_series_stops_at_parts_of_weight_gmax():
+    assert dim_series(10**12, 6).coefficients == dim_series(6, 6).coefficients
+    assert dim_series(10**12, 0).coefficients == [1]
 
 
 @pytest.mark.parametrize(

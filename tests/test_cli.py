@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from perpetuants import basis as basis_mod
-from perpetuants import cli, perpetua, symfunc
+from perpetuants import binforms, cli, perpetua, symfunc
 from perpetuants.cli import run
+from perpetuants.polycore import Poly
 
 
 def call(*argv):
@@ -174,6 +175,55 @@ def test_large_cell_fails_fast_with_its_size(monkeypatch, argv, cell):
     assert cell in err and f"more than {cli.CELL_MAX_MONOMIALS} " in err
 
 
+@pytest.mark.parametrize(
+    "argv,coefficients",
+    [
+        ("dims 1000000000000 --gmax 5", [1, 0, 1, 1, 2, 2]),
+        ("stroh 1000000000000 --gmax 5", [0] * 6),
+    ],
+)
+def test_series_at_huge_n_answers_quickly(argv, coefficients):
+    # parts above gmax add nothing, and 2^(n-1) - 1 > gmax decides an
+    # all-zero Stroh series without computing the power
+    code, out, err = call(*argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == coefficients
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dims 3 --gmax 100000000",
+        "stroh 3 --gmax 100000000",
+        "dims 1 --gmax 3000001",
+        "dims 1000000000000 --gmax 1000000000000",
+        "stroh 1000000000000 --gmax 1000000000000 --format json",
+    ],
+)
+def test_series_past_the_step_limit_fails_fast(monkeypatch, argv):
+    def build(n, g_max):
+        raise AssertionError("no series may be built past the limit")
+
+    monkeypatch.setattr(basis_mod, "dim_series", build)
+    monkeypatch.setattr(perpetua, "stroh_series", build)
+    code, out, err = call(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"more than {cli.SERIES_MAX_STEPS}, the limit for a series" in err
+
+
+@pytest.mark.parametrize("argv", ["dims 3 --gmax 3000", "dims 3 --gmax 1000000", "stroh 1 --gmax 3000000"])
+def test_series_limit_admits(monkeypatch, argv):
+    def admitted(n, g_max):
+        raise RuntimeError(f"admitted ({n}, {g_max})")
+
+    monkeypatch.setattr(basis_mod, "dim_series", admitted)
+    monkeypatch.setattr(perpetua, "stroh_series", admitted)
+    with pytest.raises(RuntimeError, match="admitted"):
+        call(*argv.split())
+
+
 @pytest.mark.parametrize("n,g", [(1, 1000000000000), (1000000000000, 1)])
 def test_cell_limit_admits_one_monomial_cells(monkeypatch, n, g):
     # with n = 1 or g = 1 every weight has one monomial
@@ -223,8 +273,35 @@ def test_relations_all_pass():
     code, out, _ = call("relations")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 6
+    assert [line.split("  ")[1] for line in lines] == RELATIONS
     assert all(line.startswith("PASS") for line in lines)
+
+
+RELATIONS = [
+    "8*c2^3 + 9*c3^2 = a0^2*D",
+    "2*c4 + c2^2 = a0^2*B",
+    "6*c2*B - D = -a0*C",
+    "D = 6*c2*B + a0*C",
+    "D decomposable in degree 4",
+    "D indecomposable over a0..a3",
+]
+
+
+def test_relations_report_a_failed_identity(monkeypatch):
+    # a wrong B fails its own quotient, the C quotient (which is then not
+    # exact) and the identity D = 6 c2 B + a0 C, and nothing else
+    monkeypatch.setattr(binforms, "INVARIANT_B", Poly.parse("2*a0*a4 - 2*a1*a3 + 2*a2^2"))
+    code, out, err = call("relations")
+    assert (code, err) == (1, "")
+    status = [line.split("  ")[:2] for line in out.splitlines()]
+    assert [name for _, name in status] == RELATIONS
+    assert [s for s, _ in status] == ["PASS", "FAIL", "FAIL", "FAIL", "PASS", "PASS"]
+    assert "B quotient does not match" in out
+    code, out, err = call("relations", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [(c["check"], c["ok"]) for c in json.loads(out)] == list(
+        zip(RELATIONS, [True, False, False, False, True, True])
+    )
 
 
 def test_relations_json():

@@ -10,9 +10,7 @@ from linalg_reference import invert, matmul
 from perpetuants import linalg
 
 
-def dense_bareiss_echelon(matrix):
-    """The dense elimination loop, the reference for `linalg.bareiss_echelon`:
-    every pivot updates every row below it."""
+def _dense_integer_rows(matrix):
     rows = []
     for row in matrix:
         den = 1
@@ -20,6 +18,14 @@ def dense_bareiss_echelon(matrix):
             if isinstance(x, Fraction) and x.denominator != 1:
                 den = lcm(den, x.denominator)
         rows.append([int(x * den) for x in row])
+    return rows
+
+
+def _dense_echelon(matrix, update):
+    """The dense elimination loop: the first row with a nonzero entry in a
+    column is moved up as its pivot, and `update(pivot_row, row, c, prev)`
+    gives each row below it.  Returns `bareiss_echelon`'s triple."""
+    rows = _dense_integer_rows(matrix)
     if not rows:
         return [], [], []
     ncols = len(rows[0])
@@ -41,17 +47,40 @@ def dense_bareiss_echelon(matrix):
         if pivot != r:
             rows.insert(r, rows.pop(pivot))
             order.insert(r, order.pop(pivot))
-        p = rows[r][c]
         for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c, ncols):
-                row_i[j] = (p * row_i[j] - ric * row_r[j]) // prev
-        prev = p
+            rows[i] = update(rows[r], rows[i], c, prev)
+        prev = rows[r][c]
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, order[:r]
+
+
+def _bareiss_update(pivot_row, row, c, prev):
+    p, ric = pivot_row[c], row[c]
+    return [(p * x - ric * y) // prev for x, y in zip(row, pivot_row)]
+
+
+def _primitive_update(pivot_row, row, c, prev):
+    if not row[c]:
+        return row
+    g = gcd(pivot_row[c], row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    row = [a * x - b * y for x, y in zip(row, pivot_row)]
+    content = gcd(*row)
+    return [x // content for x in row] if content else row
+
+
+def dense_bareiss_echelon(matrix):
+    """Bareiss' loop (Math. Comp. 22, 1968): every pivot updates every row
+    below it, and each entry stays a minor of the input."""
+    return _dense_echelon(matrix, _bareiss_update)
+
+
+def dense_primitive_echelon(matrix):
+    """The dense loop of `linalg.bareiss_echelon`: each row below the pivot
+    with a nonzero entry in its column becomes (p/g) * row - (r/g) *
+    pivot_row, g = gcd(p, r), divided by its content."""
+    return _dense_echelon(matrix, _primitive_update)
 
 
 def test_rank_examples():
@@ -69,6 +98,13 @@ def test_nullspace_simple():
     # x + 2y = 0: primitive vector with first nonzero entry positive
     vecs = linalg.nullspace([[1, 2]])
     assert vecs == [[2, -1]]
+
+
+def test_nullspace_scales_where_a_pivot_does_not_divide():
+    # 2x + 3y = 0 and a 2 x 3 system whose first pivot 4 does not divide
+    # the sum of its row
+    assert linalg.nullspace([[2, 3]]) == [[3, -2]]
+    assert linalg.nullspace([[4, 6, 9], [2, 0, 3]]) == [[3, 1, -2]]
 
 
 def test_nullspace_full_rank_is_empty():
@@ -192,14 +228,12 @@ def test_echelon_profile_and_integer_nullspace(m):
         assert [v[c] != 0 for c in free] == [c == f for c in free]
 
 
-def test_rows_skipped_by_pivots_are_brought_up_to_date():
-    # rows 1..3 are zero in every earlier pivot column, so each is scaled
-    # only when it becomes a pivot: the last one by 30 / 1, to the
-    # determinant 2 * 3 * 5 * 7
+def test_primitive_echelon_rows_come_back_unchanged():
+    # each row is zero in every earlier pivot column, so no pivot touches
+    # it: the rows are already echelon and primitive
     m = [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1], [0, 0, 0, 7]]
-    rows, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
-    assert rows == [[2, 1, 0, 0], [0, 6, 2, 0], [0, 0, 30, 6], [0, 0, 0, 210]]
-    assert (rows, pivot_cols, pivot_rows) == dense_bareiss_echelon(m)
+    assert linalg.bareiss_echelon(m) == (m, [0, 1, 2, 3], [0, 1, 2, 3])
+    assert dense_primitive_echelon(m) == (m, [0, 1, 2, 3], [0, 1, 2, 3])
 
 
 @st.composite
@@ -237,8 +271,18 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_sparse_echelon_equals_dense_loop(m):
     rows, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
-    assert (rows, pivot_cols, pivot_rows) == dense_bareiss_echelon(m)
+    assert (rows, pivot_cols, pivot_rows) == dense_primitive_echelon(m)
     assert all(type(x) is int for row in rows for x in row)
+    bareiss, bareiss_cols, bareiss_rows = dense_bareiss_echelon(m)
+    assert (pivot_cols, pivot_rows) == (bareiss_cols, bareiss_rows)
+    for row, minors in zip(rows, bareiss[: len(pivot_rows)]):
+        # the Bareiss row spans the same line and is a multiple of the
+        # primitive row, so no entry here exceeds a minor of the input
+        lead = next(x for x in row if x)
+        minor_lead = next(x for x in minors if x)
+        assert [x * minor_lead for x in row] == [y * lead for y in minors]
+        assert minor_lead * gcd(*row) % lead == 0
+        assert all(abs(x) <= abs(y) for x, y in zip(row, minors))
 
 
 @given(sparse_matrices(), st.randoms(use_true_random=False))

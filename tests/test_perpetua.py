@@ -52,6 +52,16 @@ def test_stroh_n1():
     assert stroh_series(1, 3).coefficients == [1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stroh_first_weight_is_decided_at_the_boundary(n):
+    # the first perpetuant has weight 2^(n-1) - 1; the weights below it
+    # are decided without the power, and huge n costs nothing
+    first = 2 ** (n - 1) - 1
+    assert stroh_series(n, first - 1).coefficients == [0] * first
+    assert stroh_series(n, first).coefficients == [0] * first + [1]
+    assert stroh_series(10**12, first).coefficients == [0] * (first + 1)
+
+
 # ------------------------------------------------------------------- threshold
 
 

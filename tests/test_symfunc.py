@@ -232,6 +232,23 @@ def test_alpha_rejects_a_corrupted_pieri_count(monkeypatch, corrupt, h):
     ]
 
 
+@pytest.mark.parametrize("direction", ["alpha", "beta"])
+def test_column_nonzero_above_its_row_is_rejected(monkeypatch, direction):
+    # a 1 in the first row of every column of the (3,3) matrix reaches
+    # row 4+1 of column 3+2 of (3,5), above its own row
+    entries = symfunc._entries.__wrapped__
+
+    def corrupted(n, g, direction):
+        out = entries(n, g, direction)
+        if (n, g) == (3, 3):
+            out = [[1] * len(out[0])] + out[1:]
+        return out
+
+    monkeypatch.setattr(symfunc, "_entries", corrupted)
+    with pytest.raises(AssertionError, match=rf"\(3,5\) {direction} column at h = 3\+2 is not zero"):
+        corrupted(3, 5, direction)
+
+
 @pytest.mark.parametrize("n,g", [(n, g) for n in range(1, 6) for g in range(0, 11)])
 def test_beta_counts_match_e_monomial_expansion(n, g):
     # independent route: expand e^k as an L-polynomial and read off the
