@@ -27,10 +27,10 @@ QN_MAX_N = 6
 # certifies in minutes; (3,2000), with 334334, exhausts memory.
 CELL_MAX_MONOMIALS = 2500
 
-# dims and stroh take about min(n, gmax) * gmax steps, in time and in the
-# partition-count cross-check: 3 * 10^6 is 2.7 s for dims 3 --gmax 10^6
-# and 2.3 s for dims 30 --gmax 10^5, while dims 10^4 --gmax 10^4, at 10^8
-# steps, takes 87 s and 3.9 GB.
+# dims and stroh take about min(n, gmax) * gmax steps, in the series and in
+# its partition-count cross-check.  On a 2-vCPU Xeon, 3 * 10^6 steps took
+# 2.7 s for dims 3 --gmax 10^6 and 2.3 s for dims 30 --gmax 10^5, while
+# dims 10^4 --gmax 10^4, at 10^8 steps, took 87 s and 3.9 GB.
 SERIES_MAX_STEPS = 3_000_000
 
 
