@@ -1,6 +1,7 @@
 """The invariant basis, the independent kernel oracle, dimension series and
 span comparison."""
 
+import hashlib
 import json
 
 import pytest
@@ -176,6 +177,25 @@ def test_lowering_matrix_is_the_e1_pieri_table(n):
         table, _ = symfunc._pieri_table(n, g, 1)
         rows = [{h: c for h, c in enumerate(row) if c} for row in lowering_matrix(n, g)]
         assert rows == table
+
+
+# every kernel oracle of these cells, in this order, with max_var None then 2
+ORACLE_GRID = [(n, g) for n in range(1, 7) for g in range(19)] + [
+    (5, 24),
+    (6, 21),
+    (7, 18),
+    (8, 16),
+]
+
+
+def test_kernel_oracle_pinned_over_grid():
+    text = "".join(
+        json.dumps([p.to_json_dict() for p in kernel_oracle(n, g, max_var)])
+        for n, g in ORACLE_GRID
+        for max_var in (None, 2)
+    )
+    digest = "66064aa122e95dc08de41bf5492a0f52af0d929c2403efe1ad5409f62ad34972"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.slow
