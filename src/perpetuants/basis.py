@@ -9,8 +9,9 @@ force linear algebra.  Their agreement is checked, not assumed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import linalg
 from .polycore import FamilyMismatchError, Poly
@@ -90,7 +91,7 @@ def kernel_oracle(n, g, max_var=None):
         if max_var is None or max(h, default=0) <= max_var
     ]
     vectors = linalg.nullspace(lowering_matrix(n, g, source), ncols=len(source))
-    return [index.poly(zip(source, vec)) for vec in vectors]
+    return [index.poly(zip(map(source.__getitem__, vec), vec.values())) for vec in vectors]
 
 
 @dataclass
@@ -129,17 +130,21 @@ def dim_series(n, g_max):
     return DimensionSeries(n, coeffs)
 
 
-def row_ranks(*groups):
+def row_ranks(*groups, ncols=None):
     """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
-    for integer rows of one common length, from one elimination."""
+    from one elimination.  The rows are those of `linalg` over one column
+    count: {column: entry} dicts, with `ncols` given, or lists of length
+    `ncols`; ValueError otherwise."""
     tags = [k for k, group in enumerate(groups) for _ in group]
-    rows = [row for group in groups for row in group]
+    rows, ncols = linalg._integer_rows([row for group in groups for row in group], ncols)
     # The row rank profile does not depend on the column order.  Sparsest
     # columns first: each free column of a null space basis holds a single
     # nonzero, so its pivot updates only the rows that use that vector.
-    nonzeros = [len(col) - col.count(0) for col in zip(*rows)]
-    order = sorted(range(len(nonzeros)), key=nonzeros.__getitem__)
-    pivot_rows = linalg.bareiss_echelon([[row[j] for j in order] for row in rows])[2]
+    nonzeros = Counter(chain.from_iterable(rows))
+    order = sorted(range(ncols), key=nonzeros.__getitem__)
+    moved = {j: k for k, j in enumerate(order)}.__getitem__
+    rows = [dict(zip(map(moved, row), row.values())) for row in rows]
+    pivot_rows = linalg._echelon(rows, ncols)[2]
     counts = [0] * len(groups)
     for i in pivot_rows:
         counts[tags[i]] += 1
@@ -158,7 +163,8 @@ def span_ranks(*groups):
             raise FamilyMismatchError("span ranks are defined for a-polynomials")
     first = next(iter(polys[0].exponents()))
     index = monomial_index(first.degree(), first.weight())
-    return row_ranks(*([index.row(p) for p in group] for group in groups))
+    rows = ([index.row(p) for p in group] for group in groups)
+    return row_ranks(*rows, ncols=len(index.parts))
 
 
 def span_rank(polys):

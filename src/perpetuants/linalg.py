@@ -1,46 +1,71 @@
-"""Exact linear algebra: fraction-free elimination on primitive rows.
+"""Exact linear algebra: fraction-free elimination on primitive sparse rows.
 
-Matrices are lists of lists of ints or Fractions.  Rational input rows are
-scaled to integers first (row scaling preserves rank, row span and null
-space).  Elimination is deterministic: the pivot is always the first row
-with a nonzero entry in the current column, so results are reproducible.
+A matrix is a list of rows and a column count.  A row is either a
+{column: entry} dict of its nonzero entries, the form every row of the
+package is built in, or a list of all its entries; entries are ints or
+Fractions, and a rational row is scaled to integers first (row scaling
+preserves rank, row span and null space).  Every rank, rank profile and
+null space comes from one elimination loop on {column: int} dicts.
+Elimination is deterministic: the pivot is always the first row with a
+nonzero entry in the current column, so results are reproducible.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-def _sparse_integer_rows(matrix):
-    out = []
+def _integer_rows(matrix, ncols):
+    """(rows, ncols): each row of `matrix` as a {column: int} dict of its
+    nonzero entries, and the column count (0 for no rows and no `ncols`).
+    A dict row of nonzero ints is taken as it is, not copied.
+
+    Raises ValueError for list rows of unequal length, for a list row whose
+    length is not `ncols`, for a dict entry outside [0, ncols), and for dict
+    rows without `ncols`.
+    """
+    rows = []
     for row in matrix:
-        entries = {j: x for j, x in enumerate(row) if x}
-        den = lcm(*(x.denominator for x in entries.values()))
-        out.append({j: int(x * den) for j, x in entries.items()})
-    return out
+        if isinstance(row, dict):
+            if ncols is None:
+                raise ValueError("sparse rows need an explicit column count")
+            if 0 in row.values():
+                row = {j: x for j, x in row.items() if x}
+            if row and (min(row) < 0 or max(row) >= ncols):
+                raise ValueError(f"row entry outside columns 0..{ncols - 1}")
+        else:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ValueError(f"row of length {len(row)} in a matrix of {ncols} columns")
+            row = {j: x for j, x in enumerate(row) if x}
+        if not set(map(type, row.values())) <= {int}:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: int(x * den) for j, x in row.items()}
+        rows.append(row)
+    return rows, 0 if ncols is None else ncols
 
 
-def bareiss_echelon(matrix):
-    """Fraction-free forward elimination.
+def _echelon(sparse, ncols):
+    """Fraction-free forward elimination of `_integer_rows` output, whose
+    list it reuses.
 
-    Returns (rows, pivot_cols, pivot_rows): an upper echelon integer
-    matrix, the pivot column indices, and for each pivot the index of the
-    input row it came from.  A pivot row is moved up, not swapped, so the
-    rows below it keep their input order; input row i is then in
-    `pivot_rows` exactly when it is not in the span of rows 0..i-1.
+    Returns (rows, pivot_cols, pivot_rows): the echelon rows as
+    {column: int} dicts, one per pivot, the pivot column of each, and the
+    index of the input row each came from.  A pivot row is moved up, not
+    swapped, so the rows below it keep their input order; input row i is
+    then in `pivot_rows` exactly when it is not in the span of rows
+    0..i-1.
 
     A pivot p updates each row with an entry r in its column to
     (p/g) * row - (r/g) * pivot_row, with g = gcd(p, r), divided by the gcd
     of its entries; a row that no pivot touches is left as it is.  The
     Bareiss row (Math. Comp. 22, 1968) spans the same line as each updated
     row, which is primitive, so no entry exceeds a minor of the input.
-    Rows are {column: entry} dicts, bucketed by leading column while they
-    are not pivots, so a pivot updates only the rows that use its column.
+    Rows are bucketed by leading column while they are not pivots, so a
+    pivot updates only the rows that use its column.
     """
-    sparse = _sparse_integer_rows(matrix)
-    if not sparse:
-        return [], [], []
-    ncols = len(matrix[0])
     below = {}  # leading column -> input indices of rows not yet pivots
     for i, row in enumerate(sparse):
         if row:
@@ -62,10 +87,12 @@ def bareiss_echelon(matrix):
             row = sparse[i]
             g = gcd(p, row[c])
             a, b = p // g, row[c] // g
-            update = {j: a * x for j, x in row.items()}
+            row = row.copy() if a == 1 else {j: a * x for j, x in row.items()}
             for j, y in pivot_row.items():
-                update[j] = update.get(j, 0) - b * y
-            row = {j: x for j, x in update.items() if x}
+                row[j] = row.get(j, 0) - b * y
+            del row[c]  # a * r - b * p = 0
+            if 0 in row.values():
+                row = {j: x for j, x in row.items() if x}
             if row:
                 content = gcd(*row.values())
                 if content > 1:
@@ -75,24 +102,27 @@ def bareiss_echelon(matrix):
         pivot_cols.append(c)
         pivot_rows.append(pivot)
     # every row that is not a pivot row has been reduced to zero
-    rows = []
-    for i in pivot_rows:
-        row = [0] * ncols
-        for j, x in sparse[i].items():
-            row[j] = x
-        rows.append(row)
-    rows.extend([0] * ncols for _ in range(len(sparse) - len(pivot_rows)))
-    return rows, pivot_cols, pivot_rows
+    return [sparse[i] for i in pivot_rows], pivot_cols, pivot_rows
 
 
-def rank(matrix):
-    if not matrix:
-        return 0
-    return len(bareiss_echelon(matrix)[1])
+def bareiss_echelon(matrix):
+    """`_echelon` with dense rows in and out: a list of lists of ints or
+    Fractions gives (rows, pivot_cols, pivot_rows), where rows is the upper
+    echelon integer matrix, its zero rows included."""
+    sparse, ncols = _integer_rows(matrix, None)
+    rows, pivot_cols, pivot_rows = _echelon(sparse, ncols)
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    dense.extend([0] * ncols for _ in range(len(matrix) - len(rows)))
+    return dense, pivot_cols, pivot_rows
+
+
+def rank(matrix, ncols=None):
+    return len(_echelon(*_integer_rows(matrix, ncols))[1])
 
 
 def nullspace(matrix, ncols=None):
-    """Primitive integer basis of {x : M x = 0}, one vector per free column.
+    """Primitive integer basis of {x : M x = 0}, one {column: entry} vector
+    per free column, in the order of the free columns.
 
     Each vector starts as 1 at its free column and 0 on the others, and is
     solved from the last pivot row up over that row's nonzero entries.
@@ -101,25 +131,34 @@ def nullspace(matrix, ncols=None):
     divided by its content and signed so that its first nonzero entry is
     positive: with one free entry fixed, it is unique up to scale.
     """
-    if not matrix:
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [
-            [1 if j == f else 0 for j in range(ncols)] for f in range(ncols)
-        ]
-    rows, pivot_cols, _ = bareiss_echelon(matrix)
-    ncols = len(rows[0])
+    if not matrix and ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    sparse, ncols = _integer_rows(matrix, ncols)
+    rows, pivot_cols, _ = _echelon(sparse, ncols)
     pivots = set(pivot_cols)
-    tails = [
-        [(j, row[j]) for j in range(c + 1, ncols) if row[j]]
-        for row, c in zip(rows, pivot_cols)
-    ]
+    # tails[r]: the entries of pivot row r right of its pivot; users[j]: the
+    # pivot rows with such an entry in column j
+    tails = []
+    users = {}
+    for r, (row, c) in enumerate(zip(rows, pivot_cols)):
+        tail = [(j, x) for j, x in row.items() if j != c]
+        for j, _ in tail:
+            users.setdefault(j, []).append(r)
+        tails.append(tail)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         sol = {f: 1}
-        for r in range(len(pivot_cols) - 1, -1, -1):
+        # A row with no entry in a column of sol sums to 0 and changes
+        # nothing, so only the users of sol's columns are visited.  The
+        # users of pivot column c lie above c's row, so the largest index
+        # popped first visits them bottom-up, as the full sweep would.
+        seen = set(users.get(f, ()))
+        todo = [-r for r in seen]
+        heapify(todo)
+        while todo:
+            r = -heappop(todo)
             c = pivot_cols[r]
             p = rows[r][c]
             s = sum(x * sol[j] for j, x in tails[r] if j in sol)
@@ -132,8 +171,12 @@ def nullspace(matrix, ncols=None):
                 raise AssertionError(f"inexact division in null space column {f}")
             if q:
                 sol[c] = q
+                for above in users.get(c, ()):
+                    if above not in seen:
+                        seen.add(above)
+                        heappush(todo, -above)
         g = gcd(*sol.values())
         if sol[min(sol)] < 0:
             g = -g
-        basis.append([sol.get(j, 0) // g for j in range(ncols)])
+        basis.append({j: x // g for j, x in sol.items()})
     return basis

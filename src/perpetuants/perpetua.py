@@ -126,12 +126,12 @@ def decomposable_span(n, g):
     S_{n,g}."""
     rows = decomposable_rows(n, g)
     index = monomial_index(n, g)
-    return [index.poly(enumerate(row)) for row in rows]
+    return [index.poly(row.items()) for row in rows]
 
 
 def decomposable_rows(n, g):
-    """The products of `decomposable_span`, in its order, as integer rows
-    over `monomial_index(n, g)`.
+    """The products of `decomposable_span`, in its order, as
+    {position: coefficient} rows over `monomial_index(n, g)`.
 
     The factors are the `invariant_rows` of (h, j) and (n - h, g - j).
     The monomial a_p * a_q is a_(p merged with q), so each block of
@@ -156,14 +156,14 @@ def decomposable_rows(n, g):
             ]
             right_terms = [[(b, y) for b, y in enumerate(v) if y] for _, v in right]
             for _, u in left:
+                u_terms = [(merged[a], x) for a, x in enumerate(u) if x]
                 for v_terms in right_terms:
-                    row = [0] * len(index.parts)
-                    for a, x in enumerate(u):
-                        if x:
-                            at = merged[a]
-                            for b, y in v_terms:
-                                row[at[b]] += x * y
-                    out.append(row)
+                    row = {}
+                    for at, x in u_terms:
+                        for b, y in v_terms:
+                            k = at[b]
+                            row[k] = row.get(k, 0) + x * y
+                    out.append({j: x for j, x in row.items() if x})
     return out
 
 
@@ -207,15 +207,17 @@ def verify_complement(n, g):
     if n < 3:
         raise ValueError("certificates are defined for n >= 3")
     # dim ker D, independent of alpha: a_0^n spans weight 0.  D is ranked
-    # in its own column order, not by row_ranks: on a 2-vCPU Xeon with
-    # CPython 3.11, sparsest columns first took 0.29 s against 0.094 s at
-    # (6,31), while that order takes the (6,25) products below from 0.61 s
-    # to 0.38 s.
+    # in its own column order, not by row_ranks: it is already echelon
+    # there, so no pivot updates a row.  On a 2-vCPU Xeon with CPython
+    # 3.11, rank(D) took 0.003 s in that order against 0.15 s sparsest
+    # columns first at (6,31), while sparsest first takes the (6,25)
+    # products below from 0.89 s to 0.38 s.
+    width = len(monomial_index(n, g).parts)
     total = 1
     if g:
-        total = len(monomial_index(n, g).parts) - linalg.rank(lowering_matrix(n, g))
+        total = width - linalg.rank(lowering_matrix(n, g), width)
     perp = [row for _, row in _selected_rows(n, g)]
-    dim_dec, union_rank = row_ranks(decomposable_rows(n, g), perp)
+    dim_dec, union_rank = row_ranks(decomposable_rows(n, g), perp, ncols=width)
     dim_perp = len(perp)
     stroh = stroh_series(n, g)[g]
     ok = (

@@ -194,6 +194,10 @@ class Poly:
         """Exponent vectors of the nonzero terms, in no particular order."""
         return self._terms.keys()
 
+    def items(self):
+        """(exponent vector, coefficient) of the nonzero terms, in no particular order."""
+        return self._terms.items()
+
     def coefficient(self, ev):
         return self._terms.get(ev, 0)
 

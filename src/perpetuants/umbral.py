@@ -223,22 +223,20 @@ class MonomialIndex:
         return {ev: j for j, ev in enumerate(self.exponents)}
 
     def row(self, p):
-        """Coefficients of p by position.
+        """The nonzero coefficients of p as a {position: coefficient} dict.
 
         Raises ValueError, naming the monomial, when p has a term of
         another bidegree.
         """
-        out = [0] * len(self.parts)
         position = self.position
-        for ev in p.exponents():
-            j = position.get(ev)
-            if j is None:
-                raise ValueError(
-                    f"mixed bidegrees: {Poly.monomial('a', ev)} is not of "
-                    f"bidegree {self.bidegree}"
-                )
-            out[j] = p.coefficient(ev)
-        return out
+        try:
+            return {position[ev]: c for ev, c in p.items()}
+        except KeyError as missing:
+            ev = missing.args[0]
+            raise ValueError(
+                f"mixed bidegrees: {Poly.monomial('a', ev)} is not of "
+                f"bidegree {self.bidegree}"
+            ) from None
 
     def poly(self, coefficients):
         """The sum of c times the monomial at position j over (j, c) pairs."""
@@ -265,6 +263,9 @@ def lowering_matrix(n, g, source=None):
     h' is h with its last part v replaced by v - 1 (a part 1 becomes an
     a_0 and leaves the partition), so h' stays weakly decreasing.  Empty
     at g = 0, where there is no weight -1.
+
+    The rows are {column: entry} dicts of their nonzero entries, over
+    len(source) columns.
     """
     parts = monomial_index(n, g).parts
     if source is None:
@@ -272,7 +273,7 @@ def lowering_matrix(n, g, source=None):
     if not g:
         return []
     target = monomial_index(n, g - 1).parts_position
-    matrix = [[0] * len(source) for _ in range(len(target))]
+    matrix = [{} for _ in range(len(target))]
     for c, j in enumerate(source):
         h = parts[j]
         start = 0

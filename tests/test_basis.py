@@ -142,8 +142,11 @@ def _lowering_matrix_by_derivation(n, g, source):
     if not g:
         return []
     index, target = monomial_index(n, g), monomial_index(n, g - 1)
-    columns = [target.row(derivation_D(index.poly([(j, 1)]))) for j in source]
-    return [[col[i] for col in columns] for i in range(len(target.exponents))]
+    rows = [{} for _ in target.exponents]
+    for c, j in enumerate(source):
+        for i, x in target.row(derivation_D(index.poly([(j, 1)]))).items():
+            rows[i][c] = x
+    return rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -161,7 +164,7 @@ def test_lowering_matrix_is_derivation_D(n):
             expected = _lowering_matrix_by_derivation(n, g, source)
             assert lowering_matrix(n, g, source) == expected
             kernel = [
-                index.poly(zip(source, vec))
+                index.poly((source[j], x) for j, x in vec.items())
                 for vec in linalg.nullspace(expected, ncols=len(source))
             ]
             assert kernel_oracle(n, g, max_var=max_var) == kernel
@@ -175,8 +178,7 @@ def test_lowering_matrix_is_the_e1_pieri_table(n):
     # stay separate so that the kernel oracle does not depend on alpha.
     for g in range(1, 15):
         table, _ = symfunc._pieri_table(n, g, 1)
-        rows = [{h: c for h, c in enumerate(row) if c} for row in lowering_matrix(n, g)]
-        assert rows == table
+        assert lowering_matrix(n, g) == table
 
 
 # every kernel oracle of these cells, in this order, with max_var None then 2
@@ -319,6 +321,40 @@ def test_span_ranks_are_ranks_of_growing_unions():
     assert span_ranks(*groups) == expected == [1, 1, 4]
     assert span_ranks([zero], [zero]) == [0, 0]
     assert span_ranks() == []
+
+
+def test_monomial_index_row_is_sparse():
+    index = monomial_index(3, 3)
+    u = u_basis(3, 3)[0].poly
+    row = index.row(u)
+    assert sorted(row.values()) == [-3, 1, 3]
+    assert index.poly(row.items()) == u
+    with pytest.raises(ValueError, match=r"a1\^3 is not of bidegree \(3, 2\)"):
+        monomial_index(3, 2).row(a(1) ** 3)
+
+
+def test_row_ranks_take_dense_and_sparse_rows():
+    assert basis_mod.row_ranks([[0, 1]], [[1, 0]]) == [1, 2]
+    assert basis_mod.row_ranks([{1: 1}], [[1, 0]], [{0: 2, 1: 3}], ncols=2) == [1, 2, 2]
+    assert basis_mod.row_ranks([], [{}], ncols=4) == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "groups,ncols",
+    [
+        # zip(*rows) would truncate to the shortest row and report [0, 1]
+        (([[0, 1]], [[1]]), None),
+        (([[0, 1]], [[1, 0, 0]]), None),
+        (([[0, 1]],), 3),
+        (([{2: 1}],), 2),
+        (([{0: 1}], [{-1: 1}]), 2),
+        (([{0: 1}],), None),
+    ],
+    ids=["short-row", "long-row", "ncols-disagrees", "column-beyond", "negative-column", "no-ncols"],
+)
+def test_row_ranks_reject_rows_of_another_width(groups, ncols):
+    with pytest.raises(ValueError):
+        basis_mod.row_ranks(*groups, ncols=ncols)
 
 
 def test_in_span():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from linalg_reference import invert, matmul
@@ -92,19 +93,61 @@ def test_rank_examples():
 
 def test_rank_with_fractions():
     assert linalg.rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert linalg.rank([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}], ncols=2) == 1
+
+
+def test_sparse_rows_give_the_rank_of_their_dense_matrix():
+    m = [[0, 3, 0, 0, 1], [0, 0, 0, 0, 0], [0, 6, 0, 0, 2], [5, 0, 0, 1, 0]]
+    sparse = [{1: 3, 4: 1}, {}, {4: 2, 1: 6}, {0: 5, 3: 1}]
+    assert linalg.rank(sparse, ncols=5) == linalg.rank(m) == 2
+    # explicit zero entries are the same as absent ones
+    assert linalg.rank([{0: 0, 2: 1}, {2: 0}], ncols=3) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # rows of unequal length: the short row is not padded
+        lambda: linalg.rank([[0], [0, 1]]),
+        lambda: linalg.nullspace([[0, 0], [0, 0, 1]]),
+        lambda: linalg.bareiss_echelon([[1, 2], [3]]),
+        # an explicit column count that disagrees with the rows
+        lambda: linalg.nullspace([[1, 0]], ncols=5),
+        lambda: linalg.rank([[1, 0]], ncols=1),
+        # a sparse entry outside columns 0..ncols-1
+        lambda: linalg.rank([{3: 1}], ncols=3),
+        lambda: linalg.nullspace([{0: 1}, {-1: 2}], ncols=2),
+        # sparse rows without a column count
+        lambda: linalg.rank([{0: 1}]),
+    ],
+    ids=[
+        "rank-ragged",
+        "nullspace-ragged",
+        "echelon-ragged",
+        "nullspace-ncols",
+        "rank-ncols",
+        "rank-column-beyond",
+        "nullspace-negative-column",
+        "rank-no-ncols",
+    ],
+)
+def test_malformed_matrices_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_nullspace_simple():
     # x + 2y = 0: primitive vector with first nonzero entry positive
     vecs = linalg.nullspace([[1, 2]])
-    assert vecs == [[2, -1]]
+    assert vecs == [{0: 2, 1: -1}]
+    assert linalg.nullspace([{1: 2, 0: 1}], ncols=2) == vecs
 
 
 def test_nullspace_scales_where_a_pivot_does_not_divide():
     # 2x + 3y = 0 and a 2 x 3 system whose first pivot 4 does not divide
     # the sum of its row
-    assert linalg.nullspace([[2, 3]]) == [[3, -2]]
-    assert linalg.nullspace([[4, 6, 9], [2, 0, 3]]) == [[3, 1, -2]]
+    assert linalg.nullspace([[2, 3]]) == [{0: 3, 1: -2}]
+    assert linalg.nullspace([[4, 6, 9], [2, 0, 3]]) == [{0: 3, 1: 1, 2: -2}]
 
 
 def test_nullspace_full_rank_is_empty():
@@ -113,7 +156,9 @@ def test_nullspace_full_rank_is_empty():
 
 def test_nullspace_empty_matrix_gives_identity():
     vecs = linalg.nullspace([], ncols=3)
-    assert vecs == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert vecs == [{0: 1}, {1: 1}, {2: 1}]
+    # a zero row leaves every column free as well
+    assert linalg.nullspace([{}], ncols=3) == vecs
 
 
 def test_nullspace_vectors_are_primitive_kernel_elements():
@@ -122,11 +167,8 @@ def test_nullspace_vectors_are_primitive_kernel_elements():
     assert len(vecs) == 2
     for v in vecs:
         for row in m:
-            assert sum(x * y for x, y in zip(row, v)) == 0
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        assert g == 1
+            assert sum(row[j] * x for j, x in v.items()) == 0
+        assert gcd(*v.values()) == 1
 
 
 def test_invert_known_matrix():
@@ -221,11 +263,12 @@ def test_echelon_profile_and_integer_nullspace(m):
     assert len(vecs) == ncols - linalg.rank(m)
     free = [c for c in range(ncols) if c not in pivot_cols]
     for f, v in zip(free, vecs):
+        assert all(x for x in v.values())
         for row in m:
-            assert sum(x * y for x, y in zip(row, v)) == 0
-        assert gcd(*v) == 1
-        assert next(x for x in v if x) > 0
-        assert [v[c] != 0 for c in free] == [c == f for c in free]
+            assert sum(row[j] * x for j, x in v.items()) == 0
+        assert gcd(*v.values()) == 1
+        assert v[min(v)] > 0
+        assert [c in v for c in free] == [c == f for c in free]
 
 
 def test_primitive_echelon_rows_come_back_unchanged():
@@ -273,6 +316,14 @@ def test_sparse_echelon_equals_dense_loop(m):
     rows, pivot_cols, pivot_rows = linalg.bareiss_echelon(m)
     assert (rows, pivot_cols, pivot_rows) == dense_primitive_echelon(m)
     assert all(type(x) is int for row in rows for x in row)
+    # the same matrix as {column: entry} rows of its nonzero entries
+    ncols = len(m[0])
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    echelon, sparse_cols, sparse_rows = linalg._echelon(*linalg._integer_rows(sparse, ncols))
+    assert (sparse_cols, sparse_rows) == (pivot_cols, pivot_rows)
+    assert echelon == [{j: x for j, x in enumerate(row) if x} for row in rows[: len(pivot_rows)]]
+    assert linalg.rank(sparse, ncols) == len(pivot_rows)
+    assert linalg.nullspace(sparse, ncols) == linalg.nullspace(m)
     bareiss, bareiss_cols, bareiss_rows = dense_bareiss_echelon(m)
     assert (pivot_cols, pivot_rows) == (bareiss_cols, bareiss_rows)
     for row, minors in zip(rows, bareiss[: len(pivot_rows)]):
