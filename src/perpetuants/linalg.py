@@ -117,6 +117,7 @@ def bareiss_echelon(matrix):
 
 
 def rank(matrix, ncols=None):
+    """Exact rank of `matrix` over `ncols` columns (see the module docstring)."""
     return len(_echelon(*_integer_rows(matrix, ncols))[1])
 
 

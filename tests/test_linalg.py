@@ -78,9 +78,9 @@ def dense_bareiss_echelon(matrix):
 
 
 def dense_primitive_echelon(matrix):
-    """The dense loop of `linalg.bareiss_echelon`: each row below the pivot
-    with a nonzero entry in its column becomes (p/g) * row - (r/g) *
-    pivot_row, g = gcd(p, r), divided by its content."""
+    """The dense form of the elimination loop in `linalg`: each row below
+    the pivot with a nonzero entry in its column becomes (p/g) * row -
+    (r/g) * pivot_row, g = gcd(p, r), divided by its content."""
     return _dense_echelon(matrix, _primitive_update)
 
 
