@@ -17,6 +17,7 @@ DIGESTS = {
     "verify 3 --gmax 14 --format json": "5964da5fdae51aaa10b85ef3c06451f2b5ac9f16e193a2ccb0a5d0d06b1b4091",
     "verify 4 --gmax 14 --format json": "7caf39a8c028a639b765a867c7f0d9e8470c0110015afe1180f76b8ce9be3b8c",
     "verify 5 --gmax 14 --format json": "eca46e430a97eb2fe83d8a28e85d8a78950bfe93ff14518bf09ecfed1b1274d4",
+    "verify 5 --gmax 24 --format json": "ebca0bb7ff9999d04c952719167c22a62355f5eee5bb0200d63e086312b84764",
     "oracle 5 15 --format json": "df4a88a8af920c5842e5a8fa002a6753f421e79be80037efdb704f96ca4e82e3",
     "basis 5 15 --format json": "c55e08515a9fc7d1445879501156ab7eda24831e1b7ea28c8f7825332732953c",
     "perpetuants 5 17 --format json": "15291d57190d232508daf5407430efe207d9a0f66b3fdde2c953cf084a34424b",
