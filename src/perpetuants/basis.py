@@ -9,11 +9,10 @@ force linear algebra.  Their agreement is checked, not assumed.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 from . import linalg
+from .linalg import row_ranks
 from .polycore import FamilyMismatchError, Poly
 from .symfunc import partition_counts, transition_alpha
 from .umbral import lowering_matrix, monomial_index
@@ -34,8 +33,9 @@ class InvariantElement:
 
     @classmethod
     def from_alpha_row(cls, n, g, k, row):
-        """U_(k2,...,kn) from the alpha row paired with k = (0, k2, ..., kn)."""
-        return cls(k[1:], n, g, monomial_index(n, g).poly(enumerate(row)))
+        """U_(k2,...,kn) from the `invariant_rows` row paired with
+        k = (0, k2, ..., kn)."""
+        return cls(k[1:], n, g, monomial_index(n, g).poly(row.items()))
 
     def to_json_dict(self):
         return {
@@ -53,11 +53,16 @@ def invariant_rows(n, g):
     """(k, row) for each basis invariant of S_{n,g}: the alpha rows whose
     e-index k has k1 = 0, in the canonical column order.
 
-    The row paired with k carries the coefficients of U~_k over
-    `monomial_index(n, g)`: U~_k = sum_h alpha[k][h] a_h.
+    The row paired with k is the {position: coefficient} dict of the
+    nonzero coefficients of U~_k over `monomial_index(n, g)`:
+    U~_k = sum_h alpha[k][h] a_h.
     """
     alpha = transition_alpha(n, g)
-    return [(k, row) for k, row in zip(alpha.cols, alpha.entries) if k[0] == 0]
+    return [
+        (k, {j: x for j, x in enumerate(row) if x})
+        for k, row in zip(alpha.cols, alpha.entries)
+        if k[0] == 0
+    ]
 
 
 def u_basis(n, g):
@@ -128,27 +133,6 @@ def dim_series(n, g_max):
         if c != count:
             raise AssertionError(f"dimension series mismatch at ({n},{g})")
     return DimensionSeries(n, coeffs)
-
-
-def row_ranks(*groups, ncols=None):
-    """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
-    from one elimination.  The rows are those of `linalg` over one column
-    count: {column: entry} dicts, with `ncols` given, or lists of length
-    `ncols`; ValueError otherwise."""
-    tags = [k for k, group in enumerate(groups) for _ in group]
-    rows, ncols = linalg._integer_rows([row for group in groups for row in group], ncols)
-    # The row rank profile does not depend on the column order.  Sparsest
-    # columns first: each free column of a null space basis holds a single
-    # nonzero, so its pivot updates only the rows that use that vector.
-    nonzeros = Counter(chain.from_iterable(rows))
-    order = sorted(range(ncols), key=nonzeros.__getitem__)
-    moved = {j: k for k, j in enumerate(order)}.__getitem__
-    rows = [dict(zip(map(moved, row), row.values())) for row in rows]
-    pivot_rows = linalg._echelon(rows, ncols)[2]
-    counts = [0] * len(groups)
-    for i in pivot_rows:
-        counts[tags[i]] += 1
-    return list(accumulate(counts))
 
 
 def span_ranks(*groups):

@@ -1,50 +1,40 @@
 """Exact linear algebra: fraction-free elimination on primitive sparse rows.
 
-A matrix is a list of rows and a column count.  A row is either a
-{column: entry} dict of its nonzero entries, the form every row of the
-package is built in, or a list of all its entries; entries are ints or
-Fractions, and a rational row is scaled to integers first (row scaling
-preserves rank, row span and null space).  Every rank, rank profile and
-null space comes from one elimination loop on {column: int} dicts.
-Elimination is deterministic: the pivot is always the first row with a
-nonzero entry in the current column, so results are reproducible.
+A matrix is a list of rows over an explicit column count, and a row is a
+{column: entry} dict of its nonzero entries, the one form every row of the
+package is built in.  Entries are ints or Fractions; a rational row is
+scaled to integers first (row scaling preserves rank, row span and null
+space).  Every rank, row rank profile and null space comes from one
+elimination loop on {column: int} dicts.  Elimination is deterministic:
+the pivot is always the first row with a nonzero entry in the current
+column, so results are reproducible.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 
 def _integer_rows(matrix, ncols):
-    """(rows, ncols): each row of `matrix` as a {column: int} dict of its
-    nonzero entries, and the column count (0 for no rows and no `ncols`).
-    A dict row of nonzero ints is taken as it is, not copied.
+    """Each row of `matrix` as a {column: int} dict of its nonzero entries.
+    A row of nonzero ints is taken as it is, not copied.
 
-    Raises ValueError for list rows of unequal length, for a list row whose
-    length is not `ncols`, for a dict entry outside [0, ncols), and for dict
-    rows without `ncols`.
+    Raises ValueError for an entry outside columns [0, ncols).
     """
     rows = []
     for row in matrix:
-        if isinstance(row, dict):
-            if ncols is None:
-                raise ValueError("sparse rows need an explicit column count")
-            if 0 in row.values():
-                row = {j: x for j, x in row.items() if x}
-            if row and (min(row) < 0 or max(row) >= ncols):
-                raise ValueError(f"row entry outside columns 0..{ncols - 1}")
-        else:
-            if ncols is None:
-                ncols = len(row)
-            elif len(row) != ncols:
-                raise ValueError(f"row of length {len(row)} in a matrix of {ncols} columns")
-            row = {j: x for j, x in enumerate(row) if x}
+        if 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
+        if row and (min(row) < 0 or max(row) >= ncols):
+            raise ValueError(f"row entry outside columns 0..{ncols - 1}")
         if not set(map(type, row.values())) <= {int}:
             den = lcm(*(x.denominator for x in row.values()))
             row = {j: int(x * den) for j, x in row.items()}
         rows.append(row)
-    return rows, 0 if ncols is None else ncols
+    return rows
 
 
 def _echelon(sparse, ncols):
@@ -105,23 +95,30 @@ def _echelon(sparse, ncols):
     return [sparse[i] for i in pivot_rows], pivot_cols, pivot_rows
 
 
-def bareiss_echelon(matrix):
-    """`_echelon` with dense rows in and out: a list of lists of ints or
-    Fractions gives (rows, pivot_cols, pivot_rows), where rows is the upper
-    echelon integer matrix, its zero rows included."""
-    sparse, ncols = _integer_rows(matrix, None)
-    rows, pivot_cols, pivot_rows = _echelon(sparse, ncols)
-    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    dense.extend([0] * ncols for _ in range(len(matrix) - len(rows)))
-    return dense, pivot_cols, pivot_rows
-
-
-def rank(matrix, ncols=None):
+def rank(matrix, ncols):
     """Exact rank of `matrix` over `ncols` columns (see the module docstring)."""
-    return len(_echelon(*_integer_rows(matrix, ncols))[1])
+    return len(_echelon(_integer_rows(matrix, ncols), ncols)[1])
 
 
-def nullspace(matrix, ncols=None):
+def row_ranks(*groups, ncols):
+    """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
+    from one elimination of the rows of all groups over `ncols` columns."""
+    tags = [k for k, group in enumerate(groups) for _ in group]
+    rows = _integer_rows([row for group in groups for row in group], ncols)
+    # The row rank profile does not depend on the column order.  Sparsest
+    # columns first: each free column of a null space basis holds a single
+    # nonzero, so its pivot updates only the rows that use that vector.
+    nonzeros = Counter(chain.from_iterable(rows))
+    order = sorted(range(ncols), key=nonzeros.__getitem__)
+    moved = {j: k for k, j in enumerate(order)}.__getitem__
+    rows = [dict(zip(map(moved, row), row.values())) for row in rows]
+    counts = [0] * len(groups)
+    for i in _echelon(rows, ncols)[2]:
+        counts[tags[i]] += 1
+    return list(accumulate(counts))
+
+
+def nullspace(matrix, ncols):
     """Primitive integer basis of {x : M x = 0}, one {column: entry} vector
     per free column, in the order of the free columns.
 
@@ -132,10 +129,7 @@ def nullspace(matrix, ncols=None):
     divided by its content and signed so that its first nonzero entry is
     positive: with one free entry fixed, it is unique up to scale.
     """
-    if not matrix and ncols is None:
-        raise ValueError("empty matrix needs an explicit column count")
-    sparse, ncols = _integer_rows(matrix, ncols)
-    rows, pivot_cols, _ = _echelon(sparse, ncols)
+    rows, pivot_cols, _ = _echelon(_integer_rows(matrix, ncols), ncols)
     pivots = set(pivot_cols)
     # tails[r]: the entries of pivot row r right of its pivot; users[j]: the
     # pivot rows with such an entry in column j

@@ -240,8 +240,8 @@ class MonomialIndex:
 
     def poly(self, coefficients):
         """The sum of c times the monomial at position j over (j, c) pairs."""
-        # Alpha rows and null-space vectors are mostly zeros; skipping them
-        # here spares the constructor a hash of each.
+        # The full alpha rows of `potenziante` are mostly zeros; skipping
+        # them here spares the constructor a hash of each.
         exponents = self.exponents
         return Poly("a", ((exponents[j], c) for j, c in coefficients if c))
 

@@ -19,8 +19,8 @@ from perpetuants import (
 )
 from perpetuants import basis as basis_mod
 from perpetuants import linalg, symfunc
-from perpetuants.basis import in_span, span_rank, span_ranks
-from perpetuants.symfunc import partition_counts, partitions
+from perpetuants.basis import in_span, invariant_rows, span_rank, span_ranks
+from perpetuants.symfunc import partition_counts, partitions, transition_alpha
 from perpetuants.umbral import lowering_matrix, monomial_index
 
 
@@ -61,6 +61,20 @@ def test_u_basis_empty_cells():
     assert u_basis(1, 1) == []
     assert u_basis(3, 1) == []
     assert u_basis(2, 3) == []
+
+
+def test_invariant_rows_are_the_nonzero_entries_of_the_k1_zero_alpha_rows():
+    for n in range(1, 7):
+        for g in range(15):
+            alpha = transition_alpha(n, g)
+            expected = [
+                (k, {j: x for j, x in enumerate(row) if x})
+                for k, row in zip(alpha.cols, alpha.entries)
+                if k[0] == 0
+            ]
+            rows = invariant_rows(n, g)
+            assert rows == expected
+            assert all(type(row) is dict and all(row.values()) for _, row in rows)
 
 
 def test_u_basis_elements_are_integral_invariants():
@@ -333,24 +347,19 @@ def test_monomial_index_row_is_sparse():
         monomial_index(3, 2).row(a(1) ** 3)
 
 
-def test_row_ranks_take_dense_and_sparse_rows():
-    assert basis_mod.row_ranks([[0, 1]], [[1, 0]]) == [1, 2]
-    assert basis_mod.row_ranks([{1: 1}], [[1, 0]], [{0: 2, 1: 3}], ncols=2) == [1, 2, 2]
+def test_row_ranks_take_sparse_rows():
+    assert basis_mod.row_ranks([{1: 1}], [{0: 1}], ncols=2) == [1, 2]
+    assert basis_mod.row_ranks([{1: 1}], [{0: 1, 1: 0}], [{0: 2, 1: 3}], ncols=2) == [1, 2, 2]
     assert basis_mod.row_ranks([], [{}], ncols=4) == [0, 0]
 
 
 @pytest.mark.parametrize(
     "groups,ncols",
     [
-        # zip(*rows) would truncate to the shortest row and report [0, 1]
-        (([[0, 1]], [[1]]), None),
-        (([[0, 1]], [[1, 0, 0]]), None),
-        (([[0, 1]],), 3),
         (([{2: 1}],), 2),
         (([{0: 1}], [{-1: 1}]), 2),
-        (([{0: 1}],), None),
     ],
-    ids=["short-row", "long-row", "ncols-disagrees", "column-beyond", "negative-column", "no-ncols"],
+    ids=["column-beyond", "negative-column"],
 )
 def test_row_ranks_reject_rows_of_another_width(groups, ncols):
     with pytest.raises(ValueError):
