@@ -29,6 +29,9 @@ DIGESTS = {
     "basis 5 15 --primitive": "baaf35af468ff42473ac3eb4923a151ffea6fee124b241f29502c16fc83e4b94",
     "basis 6 12 --primitive --format json": "a3638cd61f7b486260888a378494a24b8821c4cd5467c01e05d6105149469a5e",
     "oracle 4 8": "291ca983c426e05d359d1eba7d19b9c12ccb8262914294b781c9642ef10811d2",
+    "verify 6 --gmax 20 --format json": "5d8f3109d67411bffeb4df351b436b438dc18473a065a2db421419b99f26a9fd",
+    "perpetuants 3 12 --format json": "51afd27a0bd9ddf1126ec3c6613abc1f323250ce4144a8cda324937d66cece1e",
+    "perpetuants 4 14 --format json": "8dc5184c7efb676fc046d604dd7e89ee64ce31c569f7bd59cb27ed0bb093dfff",
 }
 
 
