@@ -17,6 +17,7 @@ from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .linalg import row_ranks
 from .polycore import ExponentVector, Poly
+from .symfunc import e_indices
 from .umbral import lowering_matrix, monomial_index
 
 
@@ -62,13 +63,10 @@ class ThresholdVector:
 
 
 def threshold(n):
-    """(0, 2^(n-4), ..., 2, 1, 1) for n > 3; (0, 1) for n = 3."""
+    """(0, 2^(n-4), ..., 2, 1, 1), which is (0, 1) for n = 3."""
     if n < 3:
         raise ValueError("threshold is defined for n >= 3")
-    if n == 3:
-        vec = (0, 1)
-    else:
-        vec = (0,) + tuple(2 ** (n - 1 - i) for i in range(3, n)) + (1,)
+    vec = (0,) + tuple(2 ** (n - 1 - i) for i in range(3, n)) + (1,)
     tv = ThresholdVector(n, vec)
     if tv.weight() != 2 ** (n - 1) - 1:
         raise AssertionError("threshold weight mismatch")
@@ -91,11 +89,23 @@ def perpetuant_basis(n, g):
     ]
 
 
+def _chosen_indices(n, g, t):
+    """The e-indices k = (0, k2, ..., kn) of weight g whose (k2,...,kn)
+    dominates the `ThresholdVector` t, in the canonical order."""
+    return [k for k in e_indices(n, g) if k[0] == 0 and t.dominates(k[1:])]
+
+
 def _selected_rows(n, g):
     """The `invariant_rows` (k, row) whose (k2,...,kn) dominates the
-    threshold vector."""
-    t = threshold(n)
-    return [(k, row) for k, row in invariant_rows(n, g) if t.dominates(k[1:])]
+    threshold vector.  The indices are chosen first: alpha(n, g) is built
+    only when one is chosen, and neither it nor the threshold when g lies
+    below the threshold's weight 2^(n-1) - 1, as in `stroh_series`."""
+    if n - 1 >= (g + 1).bit_length():
+        return []
+    chosen = set(_chosen_indices(n, g, threshold(n)))
+    if not chosen:
+        return []
+    return [(k, row) for k, row in invariant_rows(n, g) if k in chosen]
 
 
 def degree2_perpetuant(g):
@@ -201,16 +211,14 @@ def verify_complement(n, g):
     count.  All ranks are exact; a failed check is reported as data."""
     if n < 3:
         raise ValueError("certificates are defined for n >= 3")
-    # dim ker D, independent of alpha: a_0^n spans weight 0.  D is ranked
-    # in its own column order, not sparsest columns first as in
-    # linalg.row_ranks: it is already echelon there, so no pivot updates a
-    # row.  On a 2-vCPU Xeon with CPython 3.11, rank(D) took 0.003 s in
-    # that order against 0.15 s sparsest columns first at (6,31), while
-    # sparsest first takes the (6,25) products below from 0.89 s to 0.38 s.
+    # dim ker D, independent of alpha.  D is ranked in its own column
+    # order, not sparsest columns first as in linalg.row_ranks: it is
+    # already echelon there, so no pivot updates a row.  On a 2-vCPU Xeon
+    # with CPython 3.11, rank(D) took 0.003 s in that order against 0.15 s
+    # sparsest columns first at (6,31), while sparsest first takes the
+    # (6,25) products below from 0.89 s to 0.38 s.
     width = len(monomial_index(n, g).parts)
-    total = 1
-    if g:
-        total = width - linalg.rank(lowering_matrix(n, g), width)
+    total = width - linalg.rank(lowering_matrix(n, g), width)
     perp = [row for _, row in _selected_rows(n, g)]
     dim_dec, union_rank = row_ranks(decomposable_rows(n, g), perp, ncols=width)
     dim_perp = len(perp)
@@ -224,17 +232,5 @@ def verify_complement(n, g):
 
 def index_count(n, g, threshold_vec):
     """Number of indices (k2,...,kn) of weight g dominating a threshold,
-    counted combinatorially (no polynomials built)."""
-
-    def rec(i, remaining):
-        if i > n:
-            return 1 if remaining == 0 else 0
-        total = 0
-        lo = threshold_vec[i - 2]
-        k = lo
-        while i * k <= remaining:
-            total += rec(i + 1, remaining - i * k)
-            k += 1
-        return total
-
-    return rec(2, g)
+    counted on the e-indices alone (no polynomials built)."""
+    return len(_chosen_indices(n, g, ThresholdVector(n, threshold_vec)))

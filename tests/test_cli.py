@@ -246,6 +246,47 @@ def test_cell_limit_admits_6_36(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,cell",
+    [
+        ("verify 10000 3", "(10000, 3)"),
+        ("verify 1000 10", "(1000, 10)"),
+        ("verify 200 14 --format json", "(200, 14)"),
+        ("verify 32 24", "(32, 24)"),
+        ("verify 10 --gmax 24", "(10, 24)"),
+        ("verify 1000000000000 0", "(1000000000000, 0)"),
+    ],
+)
+def test_verify_past_the_step_limit_fails_fast(monkeypatch, argv, cell):
+    # few monomials, but an alpha and its e-indices for every factor degree
+    def compute(*args, **kwargs):
+        raise AssertionError("no certificate may be built past the limit")
+
+    monkeypatch.setattr(perpetua, "verify_complement", compute)
+    for name in ("transition_alpha", "partitions_at_most"):
+        monkeypatch.setattr(symfunc, name, compute)
+    code, out, err = call(*argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert cell in err and f"more than {cli.VERIFY_MAX_STEPS} steps" in err
+
+
+@pytest.mark.parametrize(
+    "n,g", [(6, 31), (6, 32), (6, 33), (6, 34), (6, 35), (6, 36), (12, 20), (1000, 3)]
+)
+def test_verify_limit_admits(monkeypatch, n, g):
+    # the degree-6 band up to (6,36), and cells near the limit
+    def admitted(n, g):
+        raise RuntimeError(f"admitted ({n}, {g})")
+
+    monkeypatch.setattr(perpetua, "verify_complement", admitted)
+    with pytest.raises(RuntimeError, match=rf"admitted \({n}, 0\)"):
+        call("verify", str(n), "--gmax", str(g))
+    with pytest.raises(RuntimeError, match=rf"admitted \({n}, {g}\)"):
+        call("verify", str(n), str(g))
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "basis 1 -1",

@@ -1,0 +1,59 @@
+"""Layering: no module of the package imports or reads another module's
+`_`-prefixed name.  A private helper stays with the module that owns it."""
+
+import ast
+from pathlib import Path
+
+import perpetuants
+
+SOURCES = sorted(Path(perpetuants.__file__).parent.glob("*.py"))
+
+# The builders' constructor of an already-sorted exponent vector.
+EXEMPT = {("ExponentVector", "_of")}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """(line, name) for each other-module private name that `source`
+    imports, or reads as an attribute of an imported name."""
+    tree = ast.parse(source)
+    imported = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+                if _private(alias.name.split(".")[-1]):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and _private(node.attr)
+            and (node.value.id, node.attr) not in EXEMPT
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert len(SOURCES) > 1
+    found = {path.name: private_reads(path.read_text()) for path in SOURCES}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_private_reads_are_found():
+    source = (
+        "from . import linalg\n"
+        "from .symfunc import _entries, e_indices\n"
+        "from .polycore import ExponentVector\n"
+        "def f(self):\n"
+        "    ExponentVector._of(())\n"
+        "    self._cache\n"
+        "    return linalg._echelon\n"
+    )
+    assert private_reads(source) == [(2, "_entries"), (7, "linalg._echelon")]

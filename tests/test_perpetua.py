@@ -19,8 +19,9 @@ from perpetuants import (
     verify_complement,
 )
 from perpetuants.basis import span_rank
-from perpetuants.perpetua import decomposable_rows, index_count
-from perpetuants import symfunc
+from perpetuants.perpetua import ThresholdVector, decomposable_rows, index_count
+from perpetuants import basis as basis_mod
+from perpetuants import perpetua, symfunc
 from perpetuants.symfunc import transition_alpha
 from perpetuants.umbral import monomial_index
 
@@ -243,6 +244,26 @@ def test_certificate_builds_no_beta(monkeypatch):
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
 
 
+def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
+    # below the threshold weight 2^(n-1) - 1 nothing is selected, so
+    # neither the threshold nor the alpha of the cell itself is built
+    def refuse_threshold(n):
+        raise AssertionError("the threshold must not be built")
+
+    def alpha_below_degree_5(n, g):
+        if n == 5:
+            raise AssertionError("alpha(5, g) must not be built")
+        return transition_alpha(n, g)
+
+    _start_cold()
+    monkeypatch.setattr(perpetua, "threshold", refuse_threshold)
+    monkeypatch.setattr(basis_mod, "transition_alpha", alpha_below_degree_5)
+    cert = verify_complement(5, 14)
+    assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
+    assert perpetuant_basis(5, 14) == []
+    assert perpetuant_basis(30000, 3) == []
+
+
 def test_certificate_json_schema():
     data = json.loads(verify_complement(4, 6).to_json())
     assert data == {
@@ -274,12 +295,21 @@ def test_decomposable_plus_stroh_counts_everything(n, gmax):
 # ---------------------------------------------------------- counting identity
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_index_count_matches_stroh(n):
-    stroh = stroh_series(n, 20)
-    t = threshold(n).k
-    for g in range(21):
-        assert index_count(n, g, t) == stroh[g]
+    # the Stroh series, and for the threshold and each one-slot bump t of
+    # weight w, the count of all indices (k2,...,kn) of weight g - w
+    stroh = stroh_series(n, 24)
+    base = threshold(n).k
+    bumps = [base] + [
+        tuple(k + (j == i) for j, k in enumerate(base)) for i in range(len(base))
+    ]
+    for g in range(25):
+        assert index_count(n, g, base) == stroh[g]
+        for t in bumps:
+            w = ThresholdVector(n, t).weight()
+            expected = dim_series(n, g - w)[g - w] if g >= w else 0
+            assert index_count(n, g, t) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4])
