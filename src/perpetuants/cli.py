@@ -37,8 +37,8 @@ SERIES_MAX_STEPS = 3_000_000
 # weights w <= g: up to M(d, g)^2 entries, where M(d, g) counts the
 # partitions of g into at most d parts, with e-indices of length d.  It is
 # charged sum over d < n of M(d, g) * (M(d, g) + d) steps.  On a 2-vCPU
-# Xeon, (6,36) at 1.76 * 10^6 steps certifies in about 18 s and (12,20) at
-# 1.31 * 10^6 in 20 s, while verify 200 14 (6.2 * 10^6) took 50 s,
+# Xeon, (6,36) at 1.76 * 10^6 steps certified in 19 s and (12,20) at
+# 1.31 * 10^6 in 17 to 20 s, while verify 200 14 (6.2 * 10^6) took 50 s,
 # verify 1000 10 (2.3 * 10^7) 29 s at 632 MB and verify 10000 3
 # (1.5 * 10^8) 43 s at 2.3 GB.  An index entry costs less than an alpha
 # entry, so the charge errs high for large n: verify 1000 3 (1.5 * 10^6)
