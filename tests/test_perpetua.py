@@ -246,7 +246,7 @@ def test_certificate_builds_no_beta(monkeypatch):
 
 def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     # below the threshold weight 2^(n-1) - 1 nothing is selected, so
-    # neither the threshold nor the alpha of the cell itself is built
+    # neither the threshold nor the alpha of the cell is built
     def refuse_threshold(n):
         raise AssertionError("the threshold must not be built")
 
@@ -262,6 +262,12 @@ def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
     assert perpetuant_basis(5, 14) == []
     assert perpetuant_basis(30000, 3) == []
+    # above it, alpha(5, 16) is not built either: no index of weight 16
+    # dominates the threshold
+    monkeypatch.setattr(perpetua, "threshold", threshold)
+    cert = verify_complement(5, 16)
+    assert str(cert) == "(n=5, g=16) total=17 dec=17 perp=0 stroh=0 ok"
+    assert perpetuant_basis(5, 16) == []
 
 
 def test_certificate_json_schema():
