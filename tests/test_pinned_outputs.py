@@ -1,4 +1,5 @@
-"""Byte-identity of the CLI outputs: the SHA-256 of each command's stdout.
+"""Byte-identity of the CLI outputs: the SHA-256 of each command's stdout,
+and of the JSON of p_h and q_n.
 
 A change to the polynomial core, the linear algebra or the transition
 matrices must leave every printed basis, certificate and JSON document
@@ -11,6 +12,7 @@ import io
 
 import pytest
 
+from perpetuants import p_h, q_n
 from perpetuants.cli import run
 
 DIGESTS = {
@@ -42,3 +44,35 @@ def test_cli_output_is_pinned(command):
     assert code == 0, f"`perpetuants {command}` exited {code}: {err.getvalue()}"
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == DIGESTS[command], f"`perpetuants {command}` output changed"
+
+
+P_H_DIGESTS = {
+    (2, 1): "01887936a32ce594c16082f273cf7455052e54a497f2fa64c7bce6ef75b33c96",
+    (3, 1): "0ab333e56d0736bbe75b0b3ebde7856b4eeb98b04737de66d6da1a02b2b251e9",
+    (4, 1): "af7d013ee8c3a77cc68a76a7d48764c1b1e2dfd5cd8050d43f3deaf38b8d1a8b",
+    (4, 2): "1f42422e3397e65fb12b48f4b25e3509199e1958b2083870ddfd78321554be3b",
+    (5, 1): "c6fa588cc733e0da20c8f475a50c484ee32f044a1f7e3860481fe921ecebea53",
+    (5, 2): "29427e97c36c8c6f3eeff12847547954a44c4ba58a74618dde285d8124f85087",
+    (6, 1): "38abddf8fad6fb4681608ba11fcc067f302ab80278e7f61215bfc6ce300a0b3d",
+    (6, 2): "cf675613a2ad6f4557affc9ce13b54d92e8972f891395650c16808260946a225",
+    (6, 3): "181fd8b75534a9757634dcb9741bed9d4a3c1a06fc71a808ed6c2ea06d0ed02c",
+}
+
+Q_N_DIGESTS = {
+    3: "0ab333e56d0736bbe75b0b3ebde7856b4eeb98b04737de66d6da1a02b2b251e9",
+    4: "798e6f4e213e5c7def661fab93442f467ca3337fb1a280cdb9288d4800a3c341",
+}
+
+
+def _digest(poly):
+    return hashlib.sha256(poly.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("nh", list(P_H_DIGESTS))
+def test_p_h_is_pinned(nh):
+    assert _digest(p_h(*nh)) == P_H_DIGESTS[nh]
+
+
+@pytest.mark.parametrize("n", list(Q_N_DIGESTS))
+def test_q_n_is_pinned(n):
+    assert _digest(q_n(n)) == Q_N_DIGESTS[n]
