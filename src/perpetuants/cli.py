@@ -18,8 +18,10 @@ from math import comb
 from . import basis as basis_mod
 from . import binforms, perpetua, symfunc
 
-# q_6 has 19930 terms and expands in under a second; q_7, of degree 63
-# in six variables, may have up to 10.4 million terms.
+# q_6 has 19930 terms and expands in about 0.1 s on a 2-vCPU Xeon; q_7,
+# of degree 63 in six variables, may have up to 10.4 million terms, and
+# symfunc.q_n refuses it: its coefficient bound is 94 bits, past the
+# 64-bit slots of a 39.1 million-slot box.
 QN_MAX_N = 6
 
 # The a-monomials of a cell (n, g) index every matrix that basis,

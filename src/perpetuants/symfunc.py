@@ -9,10 +9,13 @@ symmetric functions p_h and q_n together with leading exponents.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, permutations
+from itertools import combinations, compress, count, permutations, product
+from math import log2, prod
 
 from .polycore import ExponentVector, Poly
 
@@ -341,36 +344,77 @@ def _reduced_forms(n, h):
             yield dict.fromkeys(T, 1)
 
 
-def _expand_forms(forms, n):
-    """The product of linear forms in L1..L(n-1), expanded as a Poly.
+def _digit_table(variables, uses):
+    """(exponent pairs, degree) of every exponent string of the variables.
 
-    Each monomial is one packed int with L1 in the highest field.  No
-    exponent exceeds the number of factors, so fields wide enough to hold
-    that number never carry.
+    Listed in mixed-radix order, the first variable most significant and
+    L_j running over 0..uses[j].
+    """
+    return [
+        (tuple((j, e) for j, e in zip(variables, digits) if e), sum(digits))
+        for digits in product(*(range(uses[j] + 1) for j in variables))
+    ]
+
+
+def _expand_forms(forms, n):
+    """The product of linear forms {j: c} in L1..L(n-1), expanded as a Poly.
+
+    Kronecker substitution: L_j becomes x^r_j with x = 2^64, so the whole
+    product is one int, built by shift-and-add, whose 64-bit slots are the
+    signed coefficients.  No exponent of L_j exceeds u_j, the number of
+    forms that use it, so the mixed radix r_j = prod((u_k + 1) for
+    j < k < n - 1) never carries, L1 most significant.  Every form is
+    linear, so the product is homogeneous of degree len(forms): L(n-1)
+    gets r = 0 and its exponent is that degree minus the others.
+
+    The product of the forms' l1 norms bounds every coefficient; a bound
+    of 2^63 or more raises ValueError before any product is built.
     """
     forms = list(forms)
-    width = len(forms).bit_length()
-    shift = {j: width * (n - 1 - j) for j in range(1, n)}
-    acc = {0: 1}
-    for form in forms:
-        steps = [(1 << shift[j], c) for j, c in form.items()]
-        out = {}
-        get = out.get
-        for mono, a in acc.items():
-            for step, c in steps:
-                key = mono + step
-                out[key] = get(key, 0) + a * c
-        acc = {mono: a for mono, a in out.items() if a}
-    mask = (1 << width) - 1
-    return Poly(
-        "L",
-        {
-            ExponentVector._of(
-                [(j, e) for j, s in shift.items() if (e := (mono >> s) & mask)]
-            ): a
-            for mono, a in acc.items()
-        },
-    )
+    degree = len(forms)
+    bound = prod(sum(map(abs, form.values())) for form in forms)
+    if bound >= 1 << 63:
+        raise ValueError(
+            f"the product of {degree} linear forms has coefficient bound "
+            f"2^{log2(bound):.1f}, past a signed 64-bit slot"
+        )
+    packed = range(1, n - 1)
+    uses = {j: sum(j in form for form in forms) for j in packed}
+    shift, size = {n - 1: 0}, 1
+    for j in reversed(packed):
+        shift[j] = 64 * size
+        size *= uses[j] + 1
+    # A form raises the top slot by its largest shift, so taking the forms
+    # in increasing largest shift keeps the partial products short.
+    acc = 1
+    for form in sorted(forms, key=lambda form: max(map(shift.get, form), default=0)):
+        acc = sum(c * (acc << shift[j]) for j, c in form.items())
+    # Adding 2^63 to every slot makes each one nonnegative without a
+    # carry; the XOR takes it off again as the slot's two's complement.
+    offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
+    slots = array("q", ((acc + offset) ^ offset).to_bytes(8 * size, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    half = len(packed) // 2
+    upper = _digit_table(packed[:half], uses)
+    lower = _digit_table(packed[half:], uses)
+    last = [((n - 1, e),) if e else () for e in range(degree + 1)]
+    terms = []
+    # From the highest slot down is lex-descending on (e1, ..., e(n-1)),
+    # the canonical order of Poly.terms().
+    width = len(lower)
+    for hi in range(len(upper) - 1, -1, -1):
+        hi_pairs, hi_degree = upper[hi]
+        block = slots[hi * width:(hi + 1) * width]
+        for lo in compress(range(width - 1, -1, -1), reversed(block)):
+            lo_pairs, lo_degree = lower[lo]
+            e = degree - hi_degree - lo_degree
+            if e < 0:
+                raise AssertionError(f"slot {hi * width + lo} has degree above {degree}")
+            terms.append((ExponentVector._of(hi_pairs + lo_pairs + last[e]), block[lo]))
+    if sum(c for _, c in terms) != prod(sum(form.values()) for form in forms):
+        raise AssertionError("coefficient sum of the expansion mismatch")
+    return Poly("L", terms)
 
 
 def p_h(n, h):
@@ -378,6 +422,9 @@ def p_h(n, h):
 
     Degree binom(n, h) for 2h < n; for n = 2h only subsets containing 1
     are used, giving degree binom(2h, h)/2.  No sign normalization.
+    Raises ValueError where the expansion's coefficient bound reaches
+    2^63: p_h(8, 3), p_h(8, 4), p_h(9, h >= 3) and p_h(n, h >= 2) for
+    n >= 10.
     """
     if not 1 <= h <= n // 2:
         raise ValueError(f"h must satisfy 1 <= h <= {n // 2}")
@@ -388,7 +435,10 @@ def p_h(n, h):
 def q_n(n):
     """The product p_1 * p_2 * ... * p_floor(n/2), of degree 2^(n-1) - 1.
 
-    All linear forms of all p_h are multiplied into one expansion.
+    All linear forms of all p_h are multiplied into one expansion.  q_6
+    fills 19930 of its 83521 slots; q_7, whose coefficient bound is 94
+    bits and whose box would have 39.1 million slots, raises ValueError
+    at once, and so does every larger n.
     """
     if n < 3:
         raise ValueError("q_n is defined for n >= 3")

@@ -5,6 +5,8 @@ import hashlib
 import math
 import random
 import re
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -460,6 +462,75 @@ def test_q6_matches_its_linear_forms_at_integer_points():
         )
         assert value == expected
         checked += 1
+
+
+def _forms_product(forms):
+    out = Poly.constant("L", 1)
+    for form in forms:
+        out = out * sum((c * L(j) for j, c in form.items()), Poly.zero("L"))
+    return out
+
+
+def _assert_expands(forms, n):
+    got = symfunc._expand_forms(forms, n)
+    assert got == _forms_product(forms)
+    # the expansion hands its terms over in canonical order
+    assert list(got.items()) == got.terms()
+
+
+_coefficients = st.integers(-9, 9)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.dictionaries(st.integers(1, n - 1), _coefficients, min_size=1),
+                min_size=1,
+                max_size=10,
+            ),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_expand_forms_equals_the_poly_product(case):
+    # mixed signs in one form leave negative values next to positive ones
+    # in neighbouring 64-bit slots
+    n, forms = case
+    _assert_expands(forms, n)
+
+
+def test_expand_forms_near_the_slot_bound():
+    # the l1 bound 18^15 is 2^62.5; the largest coefficient is 2^60.2
+    forms = [{1: 9, 2: -9}] * 15
+    _assert_expands(forms, 3)
+    largest = max(abs(c) for _, c in symfunc._expand_forms(forms, 3).items())
+    assert largest == 9**15 * math.comb(15, 7)
+    assert largest.bit_length() == 61
+
+
+def test_expand_forms_refuses_a_bound_of_two_to_the_63():
+    assert symfunc._expand_forms([{1: 2}] * 62, 2) == Poly.monomial(
+        "L", ExponentVector({1: 62}), 2**62
+    )
+    with pytest.raises(ValueError, match=r"bound 2\^63\.0"):
+        symfunc._expand_forms([{1: 2}] * 63, 2)
+
+
+def test_q7_fails_fast_naming_its_bound():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"63 linear forms has coefficient bound 2\^93\.2"):
+            q_n(7)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # q_7's box would hold 39.1 million 8-byte slots
+    assert elapsed < 0.5
+    assert peak < 1 << 20
 
 
 # ----------------------------------------------------------- leading exponents
