@@ -413,7 +413,7 @@ def _expand_forms(forms, n):
                 raise AssertionError(f"slot {hi * width + lo} has degree above {degree}")
             terms.append((ExponentVector._of(hi_pairs + lo_pairs + last[e]), block[lo]))
     if sum(c for _, c in terms) != prod(sum(form.values()) for form in forms):
-        raise AssertionError("coefficient sum of the expansion mismatch")
+        raise AssertionError("the expansion's coefficient sum does not match its forms'")
     return Poly("L", terms)
 
 
