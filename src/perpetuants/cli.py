@@ -255,16 +255,11 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         q = symfunc.q_n(args.n)
         lead = symfunc.leading_exponent(q)
         if args.format == "json":
-            out.write(
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "leading_exponent": list(lead.as_tuple(args.n - 1, first_index=1)),
-                        "poly": q.to_json_dict(),
-                    }
-                )
-                + "\n"
+            envelope = json.dumps(
+                {"n": args.n, "leading_exponent": list(lead.as_tuple(args.n - 1, first_index=1))}
             )
+            # the polynomial's own text goes in as the last member, unparsed
+            out.write(envelope[:-1] + ', "poly": ' + q.to_json() + "}\n")
         else:
             out.write(f"q_{args.n} = {q}\n")
             out.write(f"leading exponent: {lead.as_tuple(args.n - 1, first_index=1)}\n")

@@ -15,6 +15,8 @@ stream of (monomial, coefficient) pairs, adds the coefficients of a
 repeated monomial and keeps only the nonzero sums, so arithmetic hands
 it unsummed pairs.
 All values are immutable; every operation returns a new object.
+`Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
+text parsed, and `from_json` reads it back.
 """
 
 from __future__ import annotations
@@ -130,6 +132,14 @@ def _canon_key(ev):
 
 
 _FAMILIES = ("a", "L")
+
+
+class _Fragments(dict):
+    """(index, exponent) -> its JSON member text '"index": exponent'."""
+
+    def __missing__(self, pair):
+        text = self[pair] = f'"{pair[0]}": {pair[1]}'
+        return text
 
 
 def _exact(c):
@@ -366,16 +376,23 @@ class Poly:
 
     __repr__ = __str__
 
-    def to_json_dict(self):
-        terms = []
-        for ev, c in self.terms():
-            entry = {"c": str(c)}
-            entry["e"] = {str(i): e for i, e in ev}
-            terms.append(entry)
-        return {"family": self.family, "terms": terms}
-
     def to_json(self):
-        return json.dumps(self.to_json_dict())
+        """The JSON text {"family": f, "terms": [{"c": "3/4", "e": {"1": 2}}, ...]}.
+
+        The one writer of the schema: the terms in canonical order, each
+        coefficient as its string and each exponent vector as an object
+        from index to exponent, spaced as `json.dumps` spaces them.  Every
+        "i": e fragment is formatted once per call and reused.
+        """
+        fragment = _Fragments().__getitem__
+        body = ", ".join(
+            [f'{{"c": "{c}", "e": {{{", ".join(map(fragment, ev))}}}}}' for ev, c in self.terms()]
+        )
+        return f'{{"family": "{self.family}", "terms": [{body}]}}'
+
+    def to_json_dict(self):
+        """The parsed `to_json` text, so the schema is written in one place."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data):

@@ -356,6 +356,12 @@ def _digit_table(variables, uses):
     ]
 
 
+# The box of one expansion: 2^23 slots are 64 MiB of packed int.  q_6 has
+# 83,521 slots, p_h(7, 3) 4.08 M (3.2 s, 281 MB) and p_h(8, 2) 4.83 M;
+# p_h(9, 2) would have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
+EXPAND_MAX_SLOTS = 1 << 23
+
+
 def _expand_forms(forms, n):
     """The product of linear forms {j: c} in L1..L(n-1), expanded as a Poly.
 
@@ -368,7 +374,8 @@ def _expand_forms(forms, n):
     gets r = 0 and its exponent is that degree minus the others.
 
     The product of the forms' l1 norms bounds every coefficient; a bound
-    of 2^63 or more raises ValueError before any product is built.
+    of 2^63 or more raises ValueError before any product is built, and so
+    does a box of more than EXPAND_MAX_SLOTS slots.
     """
     forms = list(forms)
     degree = len(forms)
@@ -384,6 +391,11 @@ def _expand_forms(forms, n):
     for j in reversed(packed):
         shift[j] = 64 * size
         size *= uses[j] + 1
+    if size > EXPAND_MAX_SLOTS:
+        raise ValueError(
+            f"the product of {degree} linear forms needs {size} slots, "
+            f"more than the {EXPAND_MAX_SLOTS} of one expansion"
+        )
     # A form raises the top slot by its largest shift, so taking the forms
     # in increasing largest shift keeps the partial products short.
     acc = 1
@@ -424,7 +436,8 @@ def p_h(n, h):
     are used, giving degree binom(2h, h)/2.  No sign normalization.
     Raises ValueError where the expansion's coefficient bound reaches
     2^63: p_h(8, 3), p_h(8, 4), p_h(9, h >= 3) and p_h(n, h >= 2) for
-    n >= 10.
+    n >= 10; and where its box passes EXPAND_MAX_SLOTS: p_h(9, 2) and
+    p_h(n, 1) for n >= 17.
     """
     if not 1 <= h <= n // 2:
         raise ValueError(f"h must satisfy 1 <= h <= {n // 2}")
@@ -435,19 +448,20 @@ def p_h(n, h):
 def q_n(n):
     """The product p_1 * p_2 * ... * p_floor(n/2), of degree 2^(n-1) - 1.
 
-    All linear forms of all p_h are multiplied into one expansion.  q_6
-    fills 19930 of its 83521 slots; q_7, whose coefficient bound is 94
-    bits and whose box would have 39.1 million slots, raises ValueError
-    at once, and so does every larger n.
+    All linear forms of all p_h are multiplied into one expansion.  Every
+    term of a product of linear forms has degree the number of forms, and
+    the expansion checks its coefficient sum, so the degree is checked on
+    the count of forms, before the expansion.  q_6 fills 19930 of its
+    83521 slots; q_7, whose coefficient bound is 94 bits and whose box
+    would have 39.1 million slots, raises ValueError at once, and so does
+    every larger n.
     """
     if n < 3:
         raise ValueError("q_n is defined for n >= 3")
-    out = _expand_forms(
-        (form for h in range(1, n // 2 + 1) for form in _reduced_forms(n, h)), n
-    )
-    if out.total_degree() != 2 ** (n - 1) - 1:
+    forms = [form for h in range(1, n // 2 + 1) for form in _reduced_forms(n, h)]
+    if len(forms) != 2 ** (n - 1) - 1:
         raise AssertionError("q_n degree mismatch")
-    return out
+    return _expand_forms(forms, n)
 
 
 def leading_exponent(p):

@@ -129,6 +129,15 @@ def test_qn_json():
     assert data["leading_exponent"] == [4, 2, 1]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_qn_json_equals_the_dumped_envelope(n):
+    # the polynomial's text is spliced into the envelope, not re-encoded
+    q = symfunc.q_n(n)
+    lead = symfunc.leading_exponent(q).as_tuple(n - 1, first_index=1)
+    expected = json.dumps({"n": n, "leading_exponent": list(lead), "poly": q.to_json_dict()})
+    assert call("qn", str(n), "--format", "json") == (0, expected + "\n", "")
+
+
 def test_qn_rejects_small_n():
     code, _, err = call("qn", "2")
     assert code == 2

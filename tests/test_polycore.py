@@ -1,10 +1,11 @@
 """Exact sparse polynomial core: arithmetic, bigrading, substitution,
 parsing and serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perpetuants import BiDegreeError, ExponentVector, FamilyMismatchError, Poly
@@ -325,6 +326,43 @@ def test_serialization_round_trips(p, q):
     prod = p * q
     assert Poly.from_json(prod.to_json()) == prod
     assert Poly.parse(str(prod)) == prod
+
+
+def _dumps_term_dicts(p):
+    # the serialiser before `to_json` wrote the text itself: one dict per
+    # term, encoded by json.dumps
+    terms = []
+    for ev, c in p.terms():
+        entry = {"c": str(c)}
+        entry["e"] = {str(i): e for i, e in ev}
+        terms.append(entry)
+    return json.dumps({"family": p.family, "terms": terms})
+
+
+@st.composite
+def signed_polys(draw):
+    """Either family, int and Fraction coefficients of both signs, the
+    constant monomial among the exponents."""
+    family = draw(st.sampled_from(["a", "L"]))
+    lo = 0 if family == "a" else 1
+    exps = st.dictionaries(st.integers(lo, 12), st.integers(1, 40), max_size=4)
+    ints = st.integers(-(10**20), 10**20)
+    fractions = st.fractions(max_denominator=10**6).filter(lambda c: c.denominator > 1)
+    return Poly(family, draw(st.lists(st.tuples(exps, ints | fractions), max_size=8)))
+
+
+@given(signed_polys())
+@example(Poly.zero("a"))
+@example(Poly.zero("L"))
+@example(Poly.constant("a", -7))
+@example(Poly.constant("L", Fraction(-3, 4)))
+@example(Poly("L", [({}, 5), ({1: 2, 3: 1}, Fraction(1, 3)), ({2: 1}, -2)]))
+@settings(max_examples=200, deadline=None)
+def test_json_text_equals_the_term_dict_serialiser(p):
+    text = p.to_json()
+    assert text == _dumps_term_dicts(p)
+    assert p.to_json_dict() == json.loads(text)
+    assert Poly.from_json(text) == p
 
 
 @st.composite

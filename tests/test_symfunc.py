@@ -533,6 +533,44 @@ def test_q7_fails_fast_naming_its_bound():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "n,h,slots",
+    [(9, 2, 15**7), (17, 1, 3**15)],
+)
+def test_expand_forms_fails_fast_on_its_box(n, h, slots):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=rf"needs {slots} slots, more than the 8388608"):
+            p_h(n, h)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+
+
+def test_q_n_degree_check_fires_before_the_expansion(monkeypatch):
+    reduced = symfunc._reduced_forms
+
+    def one_form_short(n, h):
+        forms = list(reduced(n, h))
+        return forms[1:] if h == 1 else forms
+
+    def expand(forms, n):
+        raise AssertionError("expanded before the degree check")
+
+    monkeypatch.setattr(symfunc, "_reduced_forms", one_form_short)
+    monkeypatch.setattr(symfunc, "_expand_forms", expand)
+    q_n.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"^q_n degree mismatch$"):
+            q_n(5)
+    finally:
+        q_n.cache_clear()
+
+
 # ----------------------------------------------------------- leading exponents
 
 
