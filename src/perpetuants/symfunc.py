@@ -357,7 +357,7 @@ def _digit_table(variables, uses):
 
 
 # The box of one expansion: 2^23 slots are 64 MiB of packed int.  q_6 has
-# 83,521 slots, p_h(7, 3) 4.08 M (3.2 s, 281 MB) and p_h(8, 2) 4.83 M;
+# 83,521 slots, p_h(7, 3) 4.08 M (3.2-4.6 s, 281 MB) and p_h(8, 2) 4.83 M;
 # p_h(9, 2) would have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
 EXPAND_MAX_SLOTS = 1 << 23
 

@@ -357,7 +357,7 @@ def signed_polys(draw):
 @example(Poly.constant("a", -7))
 @example(Poly.constant("L", Fraction(-3, 4)))
 @example(Poly("L", [({}, 5), ({1: 2, 3: 1}, Fraction(1, 3)), ({2: 1}, -2)]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_json_text_equals_the_term_dict_serialiser(p):
     text = p.to_json()
     assert text == _dumps_term_dicts(p)
