@@ -35,16 +35,16 @@ CELL_MAX_MONOMIALS = 2500
 # dims 10^4 --gmax 10^4, at 10^8 steps, took 87 s and 3.9 GB.
 SERIES_MAX_STEPS = 3_000_000
 
-# verify (n, g) builds, for every factor degree d < n, alpha(d, w) at the
-# weights w <= g: up to M(d, g)^2 entries, where M(d, g) counts the
-# partitions of g into at most d parts, with e-indices of length d.  It is
-# charged sum over d < n of M(d, g) * (M(d, g) + d) steps.  On a 2-vCPU
-# Xeon, (6,36) at 1.76 * 10^6 steps certified in 19 s and (12,20) at
-# 1.31 * 10^6 in 17 to 20 s, while verify 200 14 (6.2 * 10^6) took 50 s,
-# verify 1000 10 (2.3 * 10^7) 29 s at 632 MB and verify 10000 3
-# (1.5 * 10^8) 43 s at 2.3 GB.  An index entry costs less than an alpha
-# entry, so the charge errs high for large n: verify 1000 3 (1.5 * 10^6)
-# takes under a second.
+# verify (n, g) is charged sum over d < n of M(d, g) * (M(d, g) + d) steps,
+# where M(d, g) counts the partitions of g into at most d parts: the alpha
+# and e-indices of every factor degree d < n at the weights w <= g.  The
+# certificate works on the a_0 quotient, whose factors have degree 2..n-2
+# and weight at most g - n, and a cell with g < n builds no alpha at all,
+# so the charge errs high and stays a safe bound.  On a 2-vCPU Xeon with
+# CPython 3.11, (6,36) at 1.76 * 10^6 steps certified in 3.2 to 4.6 s at
+# 122 MB and (12,20) at 1.31 * 10^6 in 0.04 s; verify 200 14 (6.2 * 10^6),
+# verify 1000 10 (2.3 * 10^7) and verify 10000 3 (1.5 * 10^8), which the
+# limit refuses, take under 0.01 s through the library.
 VERIFY_MAX_STEPS = 2_000_000
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
@@ -17,7 +18,7 @@ from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .linalg import row_ranks
 from .polycore import ExponentVector, Poly
-from .symfunc import e_indices
+from .symfunc import e_indices, transition_alpha
 from .umbral import lowering_matrix, monomial_index
 
 
@@ -85,7 +86,7 @@ def perpetuant_basis(n, g):
         )
     return [
         InvariantElement.from_alpha_row(n, g, k, row)
-        for k, row in _selected_rows(n, g)
+        for k, row in _alpha_rows(n, g, _selected_indices(n, g))
     ]
 
 
@@ -95,17 +96,30 @@ def _chosen_indices(n, g, t):
     return [k for k in e_indices(n, g) if k[0] == 0 and t.dominates(k[1:])]
 
 
-def _selected_rows(n, g):
-    """The `invariant_rows` (k, row) whose (k2,...,kn) dominates the
-    threshold vector.  The indices are chosen first: alpha(n, g) is built
-    only when one is chosen, and neither it nor the threshold when g lies
-    below the threshold's weight 2^(n-1) - 1, as in `stroh_series`."""
+def _selected_indices(n, g):
+    """`_chosen_indices` for the threshold of degree n.  Neither the
+    threshold nor any index is built when g lies below its weight
+    2^(n-1) - 1, decided as in `stroh_series`."""
     if n - 1 >= (g + 1).bit_length():
         return []
-    chosen = set(_chosen_indices(n, g, threshold(n)))
-    if not chosen:
+    return _chosen_indices(n, g, threshold(n))
+
+
+def _alpha_rows(n, g, indices):
+    """(k, row) for each e-index k of `indices` in the column order of
+    alpha(n, g), with row the {position: coefficient} dict of the nonzero
+    entries of alpha's row k over `monomial_index(n, g)`.  Only these rows
+    become dicts, and alpha(n, g) is built only when `indices` is not
+    empty."""
+    wanted = set(indices)
+    if not wanted:
         return []
-    return [(k, row) for k, row in invariant_rows(n, g) if k in chosen]
+    alpha = transition_alpha(n, g)
+    return [
+        (k, {j: x for j, x in enumerate(row) if x})
+        for k, row in zip(alpha.cols, alpha.entries)
+        if k in wanted
+    ]
 
 
 def degree2_perpetuant(g):
@@ -136,19 +150,25 @@ def decomposable_span(n, g):
 
 def decomposable_rows(n, g):
     """The products of `decomposable_span`, in its order, as
+    {position: coefficient} rows over `monomial_index(n, g)`."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return _products(n, g, 1)
+
+
+def _products(n, g, low):
+    """The products u * v of the `invariant_rows` of (h, j) and
+    (n - h, g - j), for low <= h <= n / 2 and 0 <= j <= g, h first, as
     {position: coefficient} rows over `monomial_index(n, g)`.
 
-    The factors are the `invariant_rows` of (h, j) and (n - h, g - j).
     The monomial a_p * a_q is a_(p merged with q), so each block of
     factors gets one table of the merged positions, and a product row is
     summed into that table's positions.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     index = monomial_index(n, g)
     position = index.parts_position
     out = []
-    for h in range(1, n // 2 + 1):
+    for h in range(low, n // 2 + 1):
         for j in range(g + 1):
             left = invariant_rows(h, j)
             if not left:
@@ -205,26 +225,65 @@ class ComplementCertificate:
         )
 
 
+@lru_cache(maxsize=None)
+def _kernel_dim(n, g):
+    """dim ker D on the degree-n weight-g monomials, independent of alpha:
+    the monomial count less the rank of `lowering_matrix`.  Cached: a
+    certificate at (n, g) reads the cells (n - 1, g) and (n, g - n), which
+    a run over a range of n or g certifies or reads again.
+
+    D is ranked in its own column order, not sparsest columns first as in
+    linalg.row_ranks: it is already echelon there, so no pivot updates a
+    row.  On a 2-vCPU Xeon with CPython 3.11, rank(D) took 0.003 s in that
+    order against 0.15 s sparsest columns first at (6,31), while sparsest
+    first takes the (6,25) products from 0.89 s to 0.38 s.
+    """
+    width = len(monomial_index(n, g).parts)
+    return width - linalg.rank(lowering_matrix(n, g), width)
+
+
 def verify_complement(n, g):
     """Certify that decomposables plus the threshold-selected basis give a
     direct-sum decomposition of S_{n,g} with the predicted perpetuant
-    count.  All ranks are exact; a failed check is reported as data."""
+    count.  All ranks are exact; a failed check is reported as data.
+
+    The ranks are taken on the a_0 quotient.  Let pi drop the terms that
+    contain a_0, and let sigma map a_i to a_(i+1).  Since D a_0 = 0, the
+    kernel of pi on S_{n,g} is a_0 * S_{n-1,g}, and those are decomposable
+    products.  An n-part column of alpha(n, g) is its parent column raised,
+    so pi(U_k(n, g)) = sigma(U_(k - eps_n)(n, g - n)), and 0 when k_n = 0.
+    pi is multiplicative, so pi of the decomposables is sigma of the span
+    of the products u' * v' of degrees h and n - h, 2 <= h <= n / 2, with
+    weights summing to g - n.  Hence, over `monomial_index(n, g - n)`:
+
+        dim_dec = dim S_{n-1,g} + rank(products),
+        rank(dec + selected) = dim S_{n-1,g} + rank(products + selected'),
+
+    with selected' the alpha(n, g - n) rows k - eps_n of the selected k.
+    Every dimension of S is a `_kernel_dim`, and total = dim S_{n-1,g} +
+    dim S_{n,g-n} is checked on every call.  When g < n every monomial
+    holds a_0: there is no quotient, and no alpha and no product is built.
+    """
     if n < 3:
         raise ValueError("certificates are defined for n >= 3")
-    # dim ker D, independent of alpha.  D is ranked in its own column
-    # order, not sparsest columns first as in linalg.row_ranks: it is
-    # already echelon there, so no pivot updates a row.  On a 2-vCPU Xeon
-    # with CPython 3.11, rank(D) took 0.003 s in that order against 0.15 s
-    # sparsest columns first at (6,31), while sparsest first takes the
-    # (6,25) products below from 0.89 s to 0.38 s.
-    width = len(monomial_index(n, g).parts)
-    total = width - linalg.rank(lowering_matrix(n, g), width)
-    perp = [row for _, row in _selected_rows(n, g)]
-    dim_dec, union_rank = row_ranks(decomposable_rows(n, g), perp, ncols=width)
-    dim_perp = len(perp)
+    total = _kernel_dim(n, g)
+    lower = _kernel_dim(n - 1, g)
+    chosen = _selected_indices(n, g)
+    upper = dec_rank = union_rank = 0
+    if g >= n:
+        upper = _kernel_dim(n, g - n)
+        # the threshold's last entry is 1, so every chosen k has k_n >= 1
+        lowered = [k[:-1] + (k[-1] - 1,) for k in chosen]
+        perp = [row for _, row in _alpha_rows(n, g - n, lowered)]
+        dec_rank, union_rank = row_ranks(
+            _products(n, g - n, 2), perp, ncols=len(monomial_index(n, g - n).parts)
+        )
+    dim_dec = lower + dec_rank
+    dim_perp = len(chosen)
     stroh = stroh_series(n, g)[g]
     ok = (
-        union_rank == dim_dec + dim_perp == total
+        total == lower + upper
+        and lower + union_rank == dim_dec + dim_perp == total
         and dim_perp == stroh
     )
     return ComplementCertificate(n, g, total, dim_dec, dim_perp, ok, stroh)

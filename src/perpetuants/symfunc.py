@@ -257,6 +257,16 @@ def _entries(n, g, direction):
         raised = [
             position[tuple(p + 1 for p in (mu + (0,) * i)[:i]) + mu[i:]] for mu in lower
         ]
+        if i == n:
+            # in n variables e_n * m_mu = m_(mu + 1^n): an n-part column of
+            # alpha is its parent raised, which the a_0 quotient of
+            # perpetua.verify_complement relies on
+            for mu, expansion, p in zip(lower, table, raised):
+                if expansion != {p: 1}:
+                    raise AssertionError(
+                        f"the ({n},{g}) Pieri expansion of e_{n} * m_mu at "
+                        f"mu = {Partition(mu)} is not the single term m_(mu + 1^{n})"
+                    )
         steps[i] = table, lower, raised, _entries(n, g - i, direction)
     cols = [None] * len(rows)
     for j in reversed(range(len(rows))):

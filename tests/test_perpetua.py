@@ -4,6 +4,7 @@ spans and the direct-sum certificates."""
 import json
 
 import pytest
+from certificate_reference import full_width_certificate
 
 from perpetuants import (
     Poly,
@@ -18,7 +19,7 @@ from perpetuants import (
     u_basis,
     verify_complement,
 )
-from perpetuants.basis import span_rank
+from perpetuants.basis import invariant_rows, span_rank
 from perpetuants.perpetua import ThresholdVector, decomposable_rows, index_count
 from perpetuants import basis as basis_mod
 from perpetuants import perpetua, symfunc
@@ -258,6 +259,7 @@ def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     _start_cold()
     monkeypatch.setattr(perpetua, "threshold", refuse_threshold)
     monkeypatch.setattr(basis_mod, "transition_alpha", alpha_below_degree_5)
+    monkeypatch.setattr(perpetua, "transition_alpha", alpha_below_degree_5)
     cert = verify_complement(5, 14)
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
     assert perpetuant_basis(5, 14) == []
@@ -268,6 +270,116 @@ def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     cert = verify_complement(5, 16)
     assert str(cert) == "(n=5, g=16) total=17 dec=17 perp=0 stroh=0 ok"
     assert perpetuant_basis(5, 16) == []
+
+
+def _record_alpha_builds(monkeypatch):
+    """The set of (n, g) whose alpha or beta entries are asked for from
+    now on, starting from empty caches."""
+    built = set()
+    entries = symfunc._entries
+
+    def recorded(n, g, direction):
+        built.add((n, g))
+        return entries(n, g, direction)
+
+    _start_cold()
+    monkeypatch.setattr(symfunc, "_entries", recorded)
+    return built
+
+
+def test_certificate_builds_no_alpha_above_the_quotient_weight(monkeypatch):
+    # (5,20) reads alpha(5,15) and factor cells of weight at most 15
+    built = _record_alpha_builds(monkeypatch)
+    cert = verify_complement(5, 20)
+    assert str(cert) == "(n=5, g=20) total=28 dec=26 perp=2 stroh=2 ok"
+    assert (5, 15) in built and (5, 20) not in built
+    assert max(g for _, g in built) == 15
+
+
+@pytest.mark.parametrize("n,g", [(12, 11), (40, 14), (1000, 3)])
+def test_certificate_below_degree_builds_no_alpha(monkeypatch, n, g):
+    # with g < n every monomial holds a_0: S_{n,g} = a_0 * S_{n-1,g}
+    built = _record_alpha_builds(monkeypatch)
+    cert = verify_complement(n, g)
+    assert built == set()
+    assert cert.direct_sum_ok
+    assert cert.dim_decomposable == cert.dim_total == dim_series(n, g)[g]
+    assert cert.dim_perpetuant == 0
+
+
+@pytest.mark.parametrize("n,gmax", [(2, 20), (3, 20), (4, 20), (5, 20), (6, 20), (7, 18)])
+def test_a0_quotient_of_each_u_k_is_the_raised_lower_u(n, gmax):
+    # pi drops the terms with a_0 and sigma maps a_i to a_(i+1): pi(U_k(n, g))
+    # = sigma(U_(k - eps_n)(n, g - n)), and 0 when k_n = 0
+    for g in range(gmax + 1):
+        parts = monomial_index(n, g).parts
+        lower, position = {}, {}
+        if g >= n:
+            lower = dict(invariant_rows(n, g - n))
+            position = monomial_index(n, g - n).parts_position
+        raised = 0
+        for k, row in invariant_rows(n, g):
+            image = {
+                position[tuple(p - 1 for p in parts[j] if p > 1)]: x
+                for j, x in row.items()
+                if len(parts[j]) == n
+            }
+            if k[-1]:
+                raised += 1
+                assert image == lower[k[:-1] + (k[-1] - 1,)], (n, g, k)
+            else:
+                assert image == {}, (n, g, k)
+        assert raised == len(lower)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chosen_alpha_rows_are_the_chosen_invariant_rows(n):
+    for g in range(25):
+        chosen = perpetua._chosen_indices(n, g, threshold(n))
+        expected = [(k, row) for k, row in invariant_rows(n, g) if k in chosen]
+        assert perpetua._alpha_rows(n, g, chosen) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quotient_certificate_equals_the_full_width_one(n):
+    for g in range(25):
+        cert, reference = verify_complement(n, g), full_width_certificate(n, g)
+        assert str(cert) == str(reference)
+        assert cert.to_json() == reference.to_json()
+        assert cert.direct_sum_ok
+
+
+@pytest.mark.slow
+def test_quotient_certificate_equals_the_full_width_one_at_6_31():
+    cert, reference = verify_complement(6, 31), full_width_certificate(6, 31)
+    assert str(cert) == str(reference) == "(n=6, g=31) total=154 dec=153 perp=1 stroh=1 ok"
+    assert cert.to_json() == reference.to_json()
+
+
+def test_a_selected_row_in_the_product_span_fails(monkeypatch):
+    # the selected U_k of (4,12) read as a quotient product lies in the
+    # decomposable span, so the union falls one short
+    product = perpetua._products(4, 8, 2)[0]
+    monkeypatch.setattr(
+        perpetua, "_alpha_rows", lambda n, g, indices: [(k, product) for k in indices]
+    )
+    cert = verify_complement(4, 12)
+    assert not cert.direct_sum_ok
+    assert (cert.dim_perpetuant, cert.stroh_coefficient) == (1, 1)
+    assert cert.dim_decomposable + cert.dim_perpetuant == cert.dim_total
+
+
+@pytest.mark.parametrize("g,cell", [(3, (3, 3)), (12, (3, 12)), (12, (4, 8))])
+def test_a_wrong_kernel_dimension_fails(monkeypatch, g, cell):
+    # dim S_{3,g} or dim S_{4,g-4} read one too high breaks the reduction
+    # total = lower + upper; the upper one is checked nowhere else
+    kernel_dim = perpetua._kernel_dim
+    monkeypatch.setattr(
+        perpetua, "_kernel_dim", lambda n, w: kernel_dim(n, w) + ((n, w) == cell)
+    )
+    cert = verify_complement(4, g)
+    assert not cert.direct_sum_ok
+    assert cert.dim_total == dim_series(4, g)[g]
 
 
 def test_certificate_json_schema():

@@ -235,6 +235,32 @@ def test_alpha_rejects_a_corrupted_pieri_count(monkeypatch, corrupt, h):
 
 
 @pytest.mark.parametrize("direction", ["alpha", "beta"])
+def test_an_n_part_pieri_step_with_a_second_term_is_rejected(monkeypatch, direction):
+    # e_3 * m_(2,1) in three variables is m_(3,2,1) alone; an extra m_(2,2,2)
+    # would still lead with m_h, so only the i = n check catches it
+    table = symfunc._pieri_table
+
+    def corrupted(n, g, i):
+        rows, position = table(n, g, i)
+        if (n, g, i) == (3, 6, 3):
+            rows = [dict(expansion) for expansion in rows]
+            rows[position[(2, 1)]][len(partitions_at_most(6, 3)) - 1] = 1
+        return rows, position
+
+    symfunc._entries.cache_clear()
+    monkeypatch.setattr(symfunc, "_pieri_table", corrupted)
+    with pytest.raises(
+        AssertionError, match=r"^the \(3,6\) Pieri expansion of e_3 \* m_mu at mu = 2\+1 "
+    ):
+        symfunc._entries(3, 6, direction)
+    monkeypatch.undo()
+    symfunc._entries.cache_clear()
+    assert matmul(transition_alpha(3, 6).entries, transition_beta(3, 6).entries) == [
+        [int(i == j) for j in range(7)] for i in range(7)
+    ]
+
+
+@pytest.mark.parametrize("direction", ["alpha", "beta"])
 def test_column_nonzero_above_its_row_is_rejected(monkeypatch, direction):
     # a 1 in the first row of every column of the (3,3) matrix reaches
     # row 4+1 of column 3+2 of (3,5), above its own row
