@@ -16,7 +16,10 @@ For each end-to-end metric of the change's BENCHMARK.json the file records
 every run's value, the median and quartiles of each side, per pair
 whether the change reads better, and `worse_than_bound`: whether the
 change's median is worse than the parent's by more than the metric's
-relative `bound`.  Standard library only.
+relative `bound`; and `claim_met`: whether the change wins at least 9 of
+10 pairs and its median is better than the parent's by more than the
+parent's interquartile range, the rule for claiming a gain.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ def spread(values):
 
 def paired(metric, parent, change):
     """Wins of the change over the pairs, the relative move of the median,
-    and whether that move is worse than the metric's relative bound."""
+    whether that move is worse than the metric's relative bound, and
+    whether a claimed gain is met: the change wins at least nine tenths of
+    the pairs, ties counting for neither side, and its median is better
+    than the parent's by more than the parent's interquartile range."""
     sign = 1 if metric["better"] == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     ties = sum(p == c for p, c in zip(parent, change))
-    base = statistics.median(parent)
-    rel = (statistics.median(change) - base) / base if base else 0.0
+    base, moved = statistics.median(parent), statistics.median(change)
+    rel = (moved - base) / base if base else 0.0
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     return {
         "change_wins": wins,
@@ -67,6 +73,7 @@ def paired(metric, parent, change):
         "bound": metric["bound"],
         "worse_than_bound": sign * rel > metric["bound"],
         "parent_iqr": round(q3 - q1, 4),
+        "claim_met": 10 * wins >= 9 * len(parent) and sign * (base - moved) > q3 - q1,
     }
 
 

@@ -84,8 +84,13 @@ def kernel_oracle(n, g, max_var=None):
     (optionally only the monomials in a_0..a_max_var).
 
     Brute force: build the matrix of the derivation from the (n,g)
-    monomial basis to the (n,g-1) one and extract its null space by
-    fraction-free elimination.  Independent of `u_basis` by construction.
+    monomial basis to the (n,g-1) one and take its `linalg.nullspace`.
+    Over every monomial that matrix is already echelon: row t leads at
+    the monomial t + e1 with entry 1, so no pivot updates a row, and the
+    free columns, one basis vector each, are the monomials with h1 = h2,
+    all solved in one packed sweep.  With max_var the rows may need
+    elimination and pivots other than 1.  Independent of `u_basis` by
+    construction.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -135,20 +140,26 @@ def dim_series(n, g_max):
     return DimensionSeries(n, coeffs)
 
 
-def span_ranks(*groups):
-    """`row_ranks` for a-polynomials of one common bidegree, read as rows
-    over the monomial index of the first nonzero one."""
+def _span_rows(*groups):
+    """The nonzero a-polynomials of each group as rows over the monomial
+    index of the first nonzero one, and the width of that index."""
     groups = [[p for p in group if not p.is_zero()] for group in groups]
     polys = [p for group in groups for p in group]
     if not polys:
-        return [0] * len(groups)
+        return groups, 0
     for p in polys:
         if p.family != "a":
             raise FamilyMismatchError("span ranks are defined for a-polynomials")
     first = next(iter(polys[0].exponents()))
     index = monomial_index(first.degree(), first.weight())
-    rows = ([index.row(p) for p in group] for group in groups)
-    return row_ranks(*rows, ncols=len(index.parts))
+    return [[index.row(p) for p in group] for group in groups], len(index.parts)
+
+
+def span_ranks(*groups):
+    """`row_ranks` for a-polynomials of one common bidegree, read as rows
+    over the monomial index of the first nonzero one."""
+    rows, ncols = _span_rows(*groups)
+    return row_ranks(*rows, ncols=ncols)
 
 
 def span_rank(polys):
@@ -159,10 +170,12 @@ def span_rank(polys):
 def span_equal(a_list, b_list):
     """Compare spans of two polynomial lists over one common bidegree.
 
-    Returns (equal, rank_a, rank_b, rank_union).
+    Returns (equal, rank_a, rank_b, rank_union).  Each list becomes rows
+    once; the rows of b_list serve both eliminations.
     """
-    rank_a, rank_union = span_ranks(a_list, b_list)
-    rank_b = span_rank(b_list)
+    (a_rows, b_rows), ncols = _span_rows(a_list, b_list)
+    rank_a, rank_union = row_ranks(a_rows, b_rows, ncols=ncols)
+    (rank_b,) = row_ranks(b_rows, ncols=ncols)
     return rank_a == rank_b == rank_union, rank_a, rank_b, rank_union
 
 

@@ -13,9 +13,12 @@ column, so results are reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
+
+# The byte order of memoryview.cast: each 64-bit digit of a packed int
+# written in it reads back as its value.
+_NATIVE = "little" if memoryview(b"\1" + bytes(7)).cast("Q")[0] == 1 else "big"
 
 
 def _integer_rows(matrix, ncols):
@@ -54,12 +57,15 @@ def _echelon(sparse, ncols):
     Bareiss row (Math. Comp. 22, 1968) spans the same line as each updated
     row, which is primitive, so no entry exceeds a minor of the input.
     Rows are bucketed by leading column while they are not pivots, so a
-    pivot updates only the rows that use its column.
+    pivot updates only the rows that use its column.  An input dict is
+    never changed: the first update of a row works on a copy, and later
+    updates change that copy in place.
     """
     below = {}  # leading column -> input indices of rows not yet pivots
     for i, row in enumerate(sparse):
         if row:
             below.setdefault(min(row), []).append(i)
+    owned = set()  # input indices whose dict is this function's own copy
     pivot_cols = []
     pivot_rows = []
     for c in range(ncols):
@@ -77,16 +83,23 @@ def _echelon(sparse, ncols):
             row = sparse[i]
             g = gcd(p, row[c])
             a, b = p // g, row[c] // g
-            row = row.copy() if a == 1 else {j: a * x for j, x in row.items()}
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            elif i not in owned:
+                row = row.copy()
+            owned.add(i)
+            # a * r - b * p = 0 deletes column c with the other new zeros
             for j, y in pivot_row.items():
-                row[j] = row.get(j, 0) - b * y
-            del row[c]  # a * r - b * p = 0
-            if 0 in row.values():
-                row = {j: x for j, x in row.items() if x}
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
             if row:
                 content = gcd(*row.values())
                 if content > 1:
-                    row = {j: x // content for j, x in row.items()}
+                    for j in row:
+                        row[j] //= content
                 below.setdefault(min(row), []).append(i)
             sparse[i] = row
         pivot_cols.append(c)
@@ -122,56 +135,80 @@ def nullspace(matrix, ncols):
     """Primitive integer basis of {x : M x = 0}, one {column: entry} vector
     per free column, in the order of the free columns.
 
-    Each vector starts as 1 at its free column and 0 on the others, and is
-    solved from the last pivot row up over that row's nonzero entries.
-    Where a pivot p does not divide the row's sum s, the vector is first
-    scaled by p / gcd(s, p), so each division is exact.  The vector is then
-    divided by its content and signed so that its first nonzero entry is
-    positive: with one free entry fixed, it is unique up to scale.
+    The vector of free column f is 0 at every other free column; with
+    that fixed it is unique up to scale.  It is divided by its content and
+    signed so that its first nonzero entry is positive.
+
+    All the vectors are solved in one sweep up the echelon rows, on packed
+    ints: column j is one int whose slot i, of w bits, holds column j's
+    entry in vector i, and free column i starts as 2^(i*w).  The row with
+    pivot p at column c sets column c to -(the sum of its other entries
+    times their columns).  That solves p times the vectors, so p
+    multiplies a running scale instead of dividing: a column solved at an
+    earlier scale is brought up to the current one where a row reads it,
+    and to the final one when it is unpacked.  w is a whole number of
+    64-bit words, sized from an exact bound on every entry at the final
+    scale, which is summed over the same rows before the packed sweep.
+    An unpacked entry past that bound raises AssertionError, naming the
+    free column of its vector and its column.
     """
     rows, pivot_cols, _ = _echelon(_integer_rows(matrix, ncols), ncols)
-    pivots = set(pivot_cols)
-    # tails[r]: the entries of pivot row r right of its pivot; users[j]: the
-    # pivot rows with such an entry in column j
-    tails = []
-    users = {}
-    for r, (row, c) in enumerate(zip(rows, pivot_cols)):
-        tail = [(j, x) for j, x in row.items() if j != c]
-        for j, _ in tail:
-            users.setdefault(j, []).append(r)
-        tails.append(tail)
+    free = sorted(set(range(ncols)).difference(pivot_cols))
+    if not free:
+        return []
+    # scale_of[j]: the running scale at which column j was solved, and
+    # bound[j] a bound on its entries there; sweep: (c, columns, entries)
+    # of each row right of its pivot, each entry brought from scale_of[j]
+    # to the scale of c
+    scale = 1
+    scale_of = dict.fromkeys(free, 1)
+    bound = dict.fromkeys(free, 1)
+    sweep = []
+    for row, c in zip(reversed(rows), reversed(pivot_cols)):
+        cols = [j for j in row if j != c]
+        entries = [row[j] * (scale // scale_of[j]) for j in cols]
+        scale *= row[c]
+        scale_of[c] = scale
+        bound[c] = sum(map(int.__mul__, map(abs, entries), map(bound.__getitem__, cols)))
+        sweep.append((c, cols, entries))
+    limit = max(b * abs(scale // scale_of[j]) for j, b in bound.items())
+    words = (limit.bit_length() + 64) // 64  # sign bit included
+    width = 64 * words
+    packed = {f: 1 << (width * i) for i, f in enumerate(free)}
+    for c, cols, entries in sweep:
+        packed[c] = -sum(map(int.__mul__, entries, map(packed.__getitem__, cols)))
+    # The nonzero columns at the final scale, one after the other in
+    # native byte order.  Adding 2^(w-1) to every slot makes each one
+    # nonnegative without a carry; the XOR takes it off again as the
+    # slot's two's complement: its top 64-bit digit read signed, the ones
+    # below it unsigned.
+    cols = [j for j in range(ncols) if packed[j]]
+    stride = words * len(free)
+    offset = int.from_bytes((1 << (width - 1)).to_bytes(8 * words, "little") * len(free), "little")
+    view = memoryview(b"".join(
+        ((packed[j] * (scale // scale_of[j]) + offset) ^ offset).to_bytes(8 * stride, _NATIVE)
+        for j in cols
+    ))
+    signed, unsigned = view.cast("q"), view.cast("Q")
+
+    def digit(i, t):
+        """The position of 64-bit digit t of slot i in the first column;
+        the same slot of column cols[m] is m * stride further on."""
+        return i * words + t if _NATIVE == "little" else stride - 1 - i * words - t
+
     basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        sol = {f: 1}
-        # A row with no entry in a column of sol sums to 0 and changes
-        # nothing, so only the users of sol's columns are visited.  The
-        # users of pivot column c lie above c's row, so the largest index
-        # popped first visits them bottom-up, as the full sweep would.
-        seen = set(users.get(f, ()))
-        todo = [-r for r in seen]
-        heapify(todo)
-        while todo:
-            r = -heappop(todo)
-            c = pivot_cols[r]
-            p = rows[r][c]
-            s = sum(x * sol[j] for j, x in tails[r] if j in sol)
-            if s % p:
-                scale = p // gcd(s, p)
-                sol = {j: x * scale for j, x in sol.items()}
-                s *= scale
-            q, rem = divmod(-s, p)
-            if rem:
-                raise AssertionError(f"inexact division in null space column {f}")
-            if q:
-                sol[c] = q
-                for above in users.get(c, ()):
-                    if above not in seen:
-                        seen.add(above)
-                        heappush(todo, -above)
-        g = gcd(*sol.values())
-        if sol[min(sol)] < 0:
+    for i, f in enumerate(free):
+        entries = signed[digit(i, words - 1) :: stride].tolist()
+        for t in range(words - 2, -1, -1):
+            entries = [x << 64 | d for x, d in zip(entries, unsigned[digit(i, t) :: stride])]
+        if max(entries) > limit or -min(entries) > limit:
+            j, x = next((j, x) for j, x in zip(cols, entries) if abs(x) > limit)
+            raise AssertionError(
+                f"null space vector of free column {f}: entry {x} at column {j} "
+                f"is past the bound {limit} that sized its slot"
+            )
+        g = gcd(*entries)
+        if next(filter(None, entries)) < 0:
             g = -g
-        basis.append({j: x // g for j, x in sol.items()})
+        basis.append(dict(zip(compress(cols, entries), map(g.__rfloordiv__, filter(None, entries)))))
     return basis

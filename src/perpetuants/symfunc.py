@@ -34,6 +34,14 @@ class Partition:
             raise ValueError("parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _of(cls, parts):
+        """The partition of a weakly decreasing tuple of positive parts;
+        unchecked."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "parts", parts)
+        return partition
+
     def weight(self):
         return sum(self.parts)
 
@@ -105,7 +113,9 @@ def partition_counts(max_part, min_part=1):
 def partitions_at_most(g, max_parts):
     """Partitions of g with at most max_parts parts, reverse-lexicographic.
 
-    Built once per (g, max_parts) and shared, hence a tuple.
+    Built once per (g, max_parts) and shared, hence a tuple.  The
+    generator yields weakly decreasing positive parts only, so they are
+    not checked again.
     """
     if g < 0:
         raise ValueError("negative weight")
@@ -121,7 +131,7 @@ def partitions_at_most(g, max_parts):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    return tuple(Partition(p) for p in rec(g, g, max_parts))
+    return tuple(map(Partition._of, rec(g, g, max_parts)))
 
 
 def e_indices(n, g):

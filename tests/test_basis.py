@@ -193,6 +193,25 @@ def test_lowering_matrix_is_the_e1_pieri_table(n):
         assert lowering_matrix(n, g) == table
 
 
+def test_lowering_matrix_leads_at_t_plus_e1_and_frees_h1_eq_h2():
+    # In canonical order row t of D leads at the monomial t + e1 with
+    # entry 1, so D is already echelon, and its free columns, one kernel
+    # vector each, are the monomials with h1 = h2.
+    for n in range(1, 9):
+        for g in range(21):
+            index = monomial_index(n, g)
+            matrix = lowering_matrix(n, g)
+            for t, row in zip(monomial_index(n, g - 1).parts if g else (), matrix):
+                lead = index.parts_position[(t[0] + 1,) + t[1:] if t else (1,)]
+                assert min(row) == lead and row[lead] == 1
+            width = len(index.parts)
+            _, pivot_cols, _ = linalg._echelon(linalg._integer_rows(matrix, width), width)
+            free = [j for j, h in enumerate(index.parts) if (h + (0, 0))[0] == (h + (0, 0))[1]]
+            assert sorted(set(range(width)) - set(pivot_cols)) == free
+            kernel = linalg.nullspace(matrix, width)
+            assert [[j for j in vec if j in free] for vec in kernel] == [[f] for f in free]
+
+
 # every kernel oracle of these cells, in this order, with max_var None then 2
 ORACLE_GRID = [(n, g) for n in range(1, 7) for g in range(19)] + [
     (5, 24),

@@ -39,6 +39,7 @@ def test_paired_lower_is_better():
         "bound": 0.04,
         "worse_than_bound": True,
         "parent_iqr": 0,
+        "claim_met": False,
     }
     assert not bench_pairs.paired(dict(LOWER, bound=0.1), [10] * 4, [9, 10, 11, 12])[
         "worse_than_bound"
@@ -69,3 +70,40 @@ def test_paired_all_ties(metric):
 def test_paired_zero_parent_median_has_no_relative_move():
     got = bench_pairs.paired(LOWER, [0, 0, 0], [0, 1, 1])
     assert got["median_change_rel"] == 0.0 and not got["worse_than_bound"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def test_claim_met_needs_nine_wins_of_ten():
+    # parent quartiles 0.9825 and 1.0175: IQR 0.035; every change run here
+    # is 0.1 below its pair, a median gain of 0.1
+    faster = [p - 0.1 for p in PARENT]
+    assert bench_pairs.paired(LOWER, PARENT, faster)["claim_met"]
+    nine = faster[:9] + [PARENT[9] + 0.01]
+    got = bench_pairs.paired(LOWER, PARENT, nine)
+    assert got["change_wins"] == 9 and got["claim_met"]
+    eight = faster[:8] + [PARENT[8] + 0.01, PARENT[9] + 0.01]
+    got = bench_pairs.paired(LOWER, PARENT, eight)
+    assert got["change_wins"] == 8 and not got["claim_met"]
+    # a tie is not a win
+    tied = faster[:9] + [PARENT[9]]
+    got = bench_pairs.paired(LOWER, PARENT, tied)
+    assert (got["change_wins"], got["ties"]) == (9, 1) and got["claim_met"]
+    tied = faster[:8] + PARENT[8:]
+    assert not bench_pairs.paired(LOWER, PARENT, tied)["claim_met"]
+
+
+def test_claim_met_needs_a_median_gain_past_the_parent_iqr():
+    # ten wins of 0.03 each: the medians differ by 0.03, inside the
+    # parent's IQR of 0.035
+    got = bench_pairs.paired(LOWER, PARENT, [p - 0.03 for p in PARENT])
+    assert got["change_wins"] == 10 and not got["claim_met"]
+    assert bench_pairs.paired(LOWER, PARENT, [p - 0.04 for p in PARENT])["claim_met"]
+
+
+def test_claim_met_follows_the_better_direction():
+    higher = [p + 0.1 for p in PARENT]
+    assert bench_pairs.paired(HIGHER, PARENT, higher)["claim_met"]
+    assert not bench_pairs.paired(LOWER, PARENT, higher)["claim_met"]
+    assert not bench_pairs.paired(HIGHER, PARENT, [p - 0.1 for p in PARENT])["claim_met"]

@@ -1,10 +1,11 @@
 """Fraction-free elimination: rank, row rank profile and nullspace."""
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from linalg_reference import matmul
 
@@ -100,6 +101,28 @@ def dense_primitive_echelon(matrix):
     return _dense_echelon(matrix, _primitive_update)
 
 
+def dense_nullspace(matrix):
+    """The null space basis one free column at a time: 1 at that column, 0
+    at the other free ones, and the pivot columns solved from the last
+    echelon row of the dense loop up in Fractions; then cleared of
+    denominators, divided by its content and signed so that its first
+    nonzero entry is positive."""
+    rows, pivot_cols, _ = dense_primitive_echelon(matrix)
+    ncols = len(matrix[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, c in reversed(list(zip(rows, pivot_cols))):
+            x[c] = -sum(row[j] * x[j] for j in range(c + 1, ncols)) / Fraction(row[c])
+        den = lcm(*(v.denominator for v in x))
+        ints = [int(v * den) for v in x]
+        content = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            content = -content
+        basis.append({j: v // content for j, v in enumerate(ints) if v})
+    return basis
+
+
 def test_rank_examples():
     assert linalg.rank(*_sparse([[1, 2], [2, 4]])) == 1
     assert linalg.rank(*_sparse([[1, 0], [0, 1]])) == 2
@@ -167,6 +190,60 @@ def test_nullspace_vectors_are_primitive_kernel_elements():
         for row in m:
             assert sum(row[j] * x for j, x in v.items()) == 0
         assert gcd(*v.values()) == 1
+
+
+def test_nullspace_entries_past_one_word():
+    # a slot of two and of three 64-bit words, with a pivot of 3 that
+    # does not divide its row's sum
+    assert linalg.nullspace([{0: 1, 1: -(2**70)}], ncols=2) == [{0: 2**70, 1: 1}]
+    m = [[3, 2**100, 0, 5], [0, 7, 2**65, 1]]
+    vecs = linalg.nullspace(*_sparse(m))
+    assert vecs == dense_nullspace(m)
+    assert max(abs(x) for v in vecs for x in v.values()) > 2**128
+
+
+class _BigEndianView:
+    """A memoryview of bytes as a big-endian machine casts them."""
+
+    def __init__(self, data):
+        self.data = bytes(data)
+
+    def cast(self, code):
+        return _Digits(struct.unpack(f">{len(self.data) // 8}{code}", self.data))
+
+
+class _Digits(list):
+    def __getitem__(self, key):
+        got = list.__getitem__(self, key)
+        return _Digits(got) if isinstance(key, slice) else got
+
+    def tolist(self):
+        return list(self)
+
+
+WIDE = [
+    [[1, 2]],
+    [[4, 6, 9], [2, 0, 3]],
+    [[1, -(2**70)]],
+    [[3, 2**100, 0, 5], [0, 7, 2**65, 1]],
+    [[2**64, 3, 0, 1], [0, 5, 2**70, -1]],
+]
+
+
+def test_nullspace_reads_big_endian_digits(monkeypatch):
+    expected = [linalg.nullspace(*_sparse(m)) for m in WIDE]
+    monkeypatch.setattr(linalg, "_NATIVE", "big")
+    monkeypatch.setattr(linalg, "memoryview", _BigEndianView, raising=False)
+    assert [linalg.nullspace(*_sparse(m)) for m in WIDE] == expected
+
+
+def test_nullspace_entry_past_its_bound_raises(monkeypatch):
+    # digits written in one byte order and read in the other send an
+    # entry past the bound its slot was sized from; the error names the
+    # free column of its vector and the column of the entry
+    monkeypatch.setattr(linalg, "_NATIVE", "little" if linalg._NATIVE == "big" else "big")
+    with pytest.raises(AssertionError, match="free column 1: entry .* at column 0 "):
+        linalg.nullspace([{0: 1, 1: 2}], ncols=2)
 
 
 def test_matmul():
@@ -316,3 +393,66 @@ def test_row_rank_profile_ignores_column_order(m, rnd):
     rnd.shuffle(order)
     permuted = [[row[j] for j in order] for row in m]
     assert set(_echelon(permuted)[2]) == set(_echelon(m)[2])
+
+
+@st.composite
+def wide_matrices(draw):
+    # non-unit pivots, entries past 64 bits, zero rows and combinations of
+    # earlier rows, so that there are free columns to solve
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(2**60, 2**90).map(lambda x: x * draw(st.sampled_from((-1, 1)))),
+    )
+    m = []
+    for _ in range(draw(st.integers(1, 5))):
+        if m and draw(st.booleans()):
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            x, y = draw(st.integers(-5, 5)), draw(entry)
+            row = [x * u + y * v for u, v in zip(a, b)]
+        else:
+            row = [draw(entry) for _ in range(ncols)]
+        m.append(row)
+    return m
+
+
+@given(wide_matrices())
+@example([[2**64, 3, 0], [0, 5, 2**70]])
+@example([[3, -(2**63), 1], [6, 0, 7]])
+@settings(max_examples=300, deadline=None)
+def test_nullspace_equals_dense_back_substitution(m):
+    vecs = linalg.nullspace(*_sparse(m))
+    assert vecs == dense_nullspace(m)
+    for v in vecs:
+        for row in m:
+            assert sum(row[j] * x for j, x in v.items()) == 0
+        assert gcd(*v.values()) == 1
+        assert v[min(v)] > 0
+
+
+def _snapshot(rows):
+    return [(id(row), list(row.items())) for row in rows]
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_callers_rows_are_left_unchanged(m):
+    rows, ncols = _sparse(m)
+    rows = rows + rows[:2]  # the same dicts twice
+    before = _snapshot(rows)
+    linalg.rank(rows, ncols)
+    linalg.nullspace(rows, ncols)
+    linalg.row_ranks(rows[:3], rows[1:], ncols=ncols)
+    assert _snapshot(rows) == before
+
+
+def test_a_dict_held_twice_is_left_unchanged():
+    row = {0: 2, 1: 3, 2: 1}
+    other = {0: 1, 1: 1}
+    matrix = [row, other, row]
+    assert linalg.rank(matrix, 3) == 2
+    assert linalg.nullspace(matrix, 3) == [{0: 1, 1: -1, 2: 1}]
+    assert linalg.row_ranks([row, other], [row], ncols=3) == [2, 2]
+    assert matrix == [row, other, row] and matrix[0] is matrix[2]
+    assert row == {0: 2, 1: 3, 2: 1} and other == {0: 1, 1: 1}

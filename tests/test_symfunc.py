@@ -79,6 +79,24 @@ def test_partitions_at_most_counts():
     assert got == [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2)]
 
 
+def test_partitions_at_most_equal_the_validated_partitions():
+    # partitions_at_most builds its partitions unchecked; each one equals,
+    # hashes as and has the type of the checked Partition of its parts,
+    # and a Partition built anywhere else is still checked
+    for n in range(1, 9):
+        for g in range(31):
+            got = partitions_at_most(g, n)
+            validated = [Partition(p.parts) for p in got]
+            assert list(got) == validated
+            assert [hash(p) for p in got] == [hash(p) for p in validated]
+            assert all(type(p) is Partition and type(p.parts) is tuple for p in got)
+            assert [p.parts for p in got] == [
+                p.parts for p in partitions(g, g) if len(p) <= n
+            ]
+    with pytest.raises(ValueError):
+        Partition((1, 2))
+
+
 # ------------------------------------------------------------ monomial sums
 
 
