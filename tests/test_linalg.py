@@ -403,7 +403,8 @@ def wide_matrices(draw):
     entry = st.one_of(
         st.just(0),
         st.integers(-9, 9),
-        st.integers(2**60, 2**90).map(lambda x: x * draw(st.sampled_from((-1, 1)))),
+        st.integers(2**60, 2**90),
+        st.integers(-(2**90), -(2**60)),
     )
     m = []
     for _ in range(draw(st.integers(1, 5))):
