@@ -25,8 +25,12 @@ from . import binforms, perpetua, symfunc
 QN_MAX_N = 6
 
 # The a-monomials of a cell (n, g) index every matrix that basis,
-# perpetuants, oracle and verify build for it.  (6,36) has 2432 and
-# certifies in minutes; (3,2000), with 334334, exhausts memory.
+# perpetuants, oracle and verify build for it.  Degrees 3 and 4 build
+# alpha(n, w) densely for every w up to g; one cold run each on a 2-vCPU
+# Xeon with CPython 3.11: verify 3 170 (2494 monomials) 32 s at 1.9 GB,
+# basis and perpetuants 3 170 52-54 s at 2.06 GB, verify 4 66 7 s at
+# 558 MB.  basis and oracle also slow down with the degree: basis 14 26
+# took 23 s and basis 20 26 over 150 s.  (3,2000) exhausts memory.
 CELL_MAX_MONOMIALS = 2500
 
 # dims and stroh take about min(n, gmax) * gmax steps, in the series and in
@@ -34,18 +38,6 @@ CELL_MAX_MONOMIALS = 2500
 # 2.7 s for dims 3 --gmax 10^6 and 2.3 s for dims 30 --gmax 10^5, while
 # dims 10^4 --gmax 10^4, at 10^8 steps, took 87 s and 3.9 GB.
 SERIES_MAX_STEPS = 3_000_000
-
-# verify (n, g) is charged sum over d < n of M(d, g) * (M(d, g) + d) steps,
-# where M(d, g) counts the partitions of g into at most d parts: the alpha
-# and e-indices of every factor degree d < n at the weights w <= g.  The
-# certificate works on the a_0 quotient, whose factors have degree 2..n-2
-# and weight at most g - n, and a cell with g < n builds no alpha at all,
-# so the charge errs high and stays a safe bound.  On a 2-vCPU Xeon with
-# CPython 3.11, (6,36) at 1.76 * 10^6 steps certified in 3.2 to 4.6 s at
-# 122 MB and (12,20) at 1.31 * 10^6 in 0.04 s; verify 200 14 (6.2 * 10^6),
-# verify 1000 10 (2.3 * 10^7) and verify 10000 3 (1.5 * 10^8), which the
-# limit refuses, take under 0.01 s through the library.
-VERIFY_MAX_STEPS = 2_000_000
 
 
 def _add_format(p):
@@ -148,27 +140,6 @@ def _too_large(n, g, err):
     return True
 
 
-def _verify_too_large(n, g, err):
-    """Write one line and return True when verify (n, g) takes more than
-    VERIFY_MAX_STEPS steps, stopping the sum as soon as it does."""
-    # counts[g] is the number of partitions of g with parts at most d,
-    # which is M(d, g) by conjugation; every term is at least d, so the
-    # loop stops within a few thousand degrees
-    counts = [1] + [0] * g
-    steps = 0
-    for d in range(1, n):
-        for w in range(d, g + 1):
-            counts[w] += counts[w - d]
-        steps += counts[g] * (counts[g] + d)
-        if steps > VERIFY_MAX_STEPS:
-            err.write(
-                f"({n}, {g}) takes more than {VERIFY_MAX_STEPS} steps over its "
-                f"factor degrees, the limit for a certificate\n"
-            )
-            return True
-    return False
-
-
 def run(argv, out=sys.stdout, err=sys.stderr):
     try:
         args = _PARSER.parse_args(argv)
@@ -221,9 +192,7 @@ def run(argv, out=sys.stdout, err=sys.stderr):
             err.write("give either a weight g or --gmax\n")
             return 2
         weights = [args.g] if args.g is not None else range(args.gmax + 1)
-        if _too_large(args.n, weights[-1], err) or _verify_too_large(
-            args.n, weights[-1], err
-        ):
+        if _too_large(args.n, weights[-1], err):
             return 2
         all_ok = True
         results = []

@@ -159,6 +159,9 @@ def test_qn_7_fails_fast_with_its_size(monkeypatch):
     [
         ("verify 3 2000", "(3, 2000)"),
         ("verify 3 --gmax 2000 --format json", "(3, 2000)"),
+        ("verify 3 171", "(3, 171)"),
+        ("verify 7 33", "(7, 33)"),
+        ("verify 8 --gmax 31", "(8, 31)"),
         ("basis 12 200", "(12, 200)"),
         ("perpetuants 3 2000", "(3, 2000)"),
         ("oracle 3 2000", "(3, 2000)"),
@@ -244,47 +247,56 @@ def test_cell_limit_admits_one_monomial_cells(monkeypatch, n, g):
         call("basis", str(n), str(g))
 
 
-def test_cell_limit_admits_6_36(monkeypatch):
-    # (6,36), with 2432 monomials, must pass the guard
-    def admitted(n, g):
-        raise RuntimeError(f"admitted ({n}, {g})")
-
-    monkeypatch.setattr(perpetua, "verify_complement", admitted)
-    with pytest.raises(RuntimeError, match=r"admitted \(6, 36\)"):
-        call("verify", "6", "36")
-
-
 @pytest.mark.parametrize(
-    "argv,cell",
+    "argv",
     [
-        ("verify 10000 3", "(10000, 3)"),
-        ("verify 1000 10", "(1000, 10)"),
-        ("verify 200 14 --format json", "(200, 14)"),
-        ("verify 32 24", "(32, 24)"),
-        ("verify 10 --gmax 24", "(10, 24)"),
-        ("verify 1000000000000 0", "(1000000000000, 0)"),
+        "verify 10000 3",
+        "verify 1000 10",
+        "verify 200 14",
+        "verify 32 24",
+        "verify 10 --gmax 24",
+        "verify 1000000000000 0",
     ],
 )
-def test_verify_past_the_step_limit_fails_fast(monkeypatch, argv, cell):
-    # few monomials, but an alpha and its e-indices for every factor degree
-    def compute(*args, **kwargs):
-        raise AssertionError("no certificate may be built past the limit")
+def test_verify_certifies_few_monomial_cells_of_high_degree(argv):
+    # few monomials at a high degree: the quotient's factors have degree
+    # at most n - 2 and weight at most g - n, so these certify at once
+    code, out, err = call(*argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    certs = data if isinstance(data, list) else [data]
+    n, g_max = certs[-1]["n"], certs[-1]["g"]
+    dims = basis_mod.dim_series(n, g_max)
+    stroh = perpetua.stroh_series(n, g_max)
+    for c in certs:
+        assert c["ok"]
+        assert c["dim_total"] == dims[c["g"]]
+        assert c["dim_perp"] == c["stroh"] == stroh[c["g"]]
 
-    monkeypatch.setattr(perpetua, "verify_complement", compute)
-    for name in ("transition_alpha", "partitions_at_most"):
-        monkeypatch.setattr(symfunc, name, compute)
-    code, out, err = call(*argv.split())
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert cell in err and f"more than {cli.VERIFY_MAX_STEPS} steps" in err
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,g,total", [(7, 32, 307), (8, 30, 358)])
+def test_verify_top_admitted_cells_of_degree_7_and_8(n, g, total):
+    # each is the largest weight the cell limit admits at its degree, and
+    # lies below the degree's first perpetuant (weight 2^(n-1) - 1)
+    code, out, err = call("verify", str(n), str(g), "--format", "json")
+    assert (code, err) == (0, "")
+    c = json.loads(out)
+    assert c["ok"]
+    assert c["dim_total"] == total == basis_mod.dim_series(n, g)[g]
+    assert c["dim_perp"] == c["stroh"] == 0
 
 
 @pytest.mark.parametrize(
-    "n,g", [(6, 31), (6, 32), (6, 33), (6, 34), (6, 35), (6, 36), (12, 20), (1000, 3)]
+    "n,g",
+    [
+        (6, 31), (6, 32), (6, 33), (6, 34), (6, 35), (6, 36), (12, 20), (1000, 3),
+        (3, 170), (4, 66), (5, 44), (7, 32), (8, 30), (9, 28), (10, 27), (12, 26),
+    ],
 )
 def test_verify_limit_admits(monkeypatch, n, g):
-    # the degree-6 band up to (6,36), and cells near the limit
+    # the degree-6 band up to (6,36), cells of many degrees, and the top
+    # admitted cell of degrees 3 to 12
     def admitted(n, g):
         raise RuntimeError(f"admitted ({n}, {g})")
 
