@@ -247,6 +247,16 @@ def test_cell_limit_admits_one_monomial_cells(monkeypatch, n, g):
         call("basis", str(n), str(g))
 
 
+def test_cell_limit_admits_6_36(monkeypatch):
+    # (6,36), with 2432 monomials, must pass the guard
+    def admitted(n, g):
+        raise RuntimeError(f"admitted ({n}, {g})")
+
+    monkeypatch.setattr(perpetua, "verify_complement", admitted)
+    with pytest.raises(RuntimeError, match=r"admitted \(6, 36\)"):
+        call("verify", "6", "36")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
