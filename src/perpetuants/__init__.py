@@ -39,6 +39,8 @@ from .symfunc import (
     partitions,
     partitions_at_most,
     q_n,
+    q_n_leading_monomial,
+    reduced_e_leading_monomial,
     transition_alpha,
     transition_beta,
 )

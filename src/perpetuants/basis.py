@@ -73,6 +73,12 @@ def u_basis(n, g):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # S_{n,g} is empty, and no alpha is built, when a positive weight has
+    # no partition into parts 2..n: for n = 1, for g = 1 and for odd g at
+    # n = 2.  alpha(1, g) would be built for every weight below g, and an
+    # e-index of alpha(n, 1) has n entries.
+    if g and (n == 1 or g == 1 or (n == 2 and g % 2)):
+        return []
     return [
         InvariantElement.from_alpha_row(n, g, k, row)
         for k, row in invariant_rows(n, g)

@@ -221,8 +221,15 @@ def run(argv, out=sys.stdout, err=sys.stderr):
                 f"qn is limited to n <= {QN_MAX_N}\n"
             )
             return 2
+        # the leading term is read off q_n's linear forms; one lookup
+        # checks it against the expansion
+        coefficient, lead = symfunc.q_n_leading_monomial(args.n)
         q = symfunc.q_n(args.n)
-        lead = symfunc.leading_exponent(q)
+        if q.coefficient(lead) != coefficient:
+            raise AssertionError(
+                f"q_{args.n} has coefficient {q.coefficient(lead)} at its leading "
+                f"exponent {lead.as_tuple(args.n - 1, first_index=1)}, not {coefficient}"
+            )
         if args.format == "json":
             envelope = json.dumps(
                 {"n": args.n, "leading_exponent": list(lead.as_tuple(args.n - 1, first_index=1))}

@@ -8,6 +8,7 @@ records exact ranks and a boolean, never raises on a failed check.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +19,12 @@ from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .linalg import row_ranks
 from .polycore import ExponentVector, Poly
-from .symfunc import e_indices, transition_alpha
+from .symfunc import (
+    e_indices,
+    q_n_leading_monomial,
+    reduced_e_leading_monomial,
+    transition_alpha,
+)
 from .umbral import lowering_matrix, monomial_index
 
 
@@ -63,14 +69,33 @@ class ThresholdVector:
         return all(o >= s for o, s in zip(other_k, self.k))
 
 
+@lru_cache(maxsize=None)
 def threshold(n):
-    """(0, 2^(n-4), ..., 2, 1, 1), which is (0, 1) for n = 3."""
+    """(0, 2^(n-4), ..., 2, 1, 1), which is (0, 1) for n = 3.
+
+    Checks the paper's lemma at run time, once per n and without any
+    expansion: the threshold's e-monomial, reduced modulo L1 + ... + Ln,
+    leads with the leading exponent of q_n.  Lex order is a monomial
+    order, so that e-monomial leads with the sum of k_i times the leading
+    exponent of reduced e_i, over i >= 2.
+    """
     if n < 3:
         raise ValueError("threshold is defined for n >= 3")
     vec = (0,) + tuple(2 ** (n - 1 - i) for i in range(3, n)) + (1,)
     tv = ThresholdVector(n, vec)
     if tv.weight() != 2 ** (n - 1) - 1:
         raise AssertionError("threshold weight mismatch")
+    exponent = Counter()
+    for i, ki in enumerate(vec, start=2):
+        for j, e in reduced_e_leading_monomial(i, n)[1]:
+            exponent[j] += ki * e
+    ours, theirs = ExponentVector(exponent), q_n_leading_monomial(n)[1]
+    if ours != theirs:
+        raise AssertionError(
+            f"the degree-{n} threshold's reduced e-monomial leads with "
+            f"{ours.as_tuple(n - 1, first_index=1)}, q_{n} with "
+            f"{theirs.as_tuple(n - 1, first_index=1)}"
+        )
     return tv
 
 

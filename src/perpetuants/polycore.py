@@ -13,7 +13,9 @@ one (translation, umbral products, c_k, primitive parts and parsing).
 `Poly.__init__` is the one place that sums coefficients: it takes any
 stream of (monomial, coefficient) pairs, adds the coefficients of a
 repeated monomial and keeps only the nonzero sums, so arithmetic hands
-it unsummed pairs.
+it unsummed pairs.  A dict that is already summed, with `ExponentVector`
+keys and nonzero int values (and no index 0 in family "L"), is copied as
+it is, after checks that run in C.
 All values are immutable; every operation returns a new object.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
 text parsed, and `from_json` reads it back.
@@ -25,6 +27,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 
 class FamilyMismatchError(TypeError):
@@ -151,6 +154,27 @@ def _exact(c):
     return c
 
 
+_FIRST_PAIR = itemgetter(slice(0, 1))
+
+
+def _summed(family, terms):
+    """Whether the dict `terms` is already a Poly's term dict: every key an
+    `ExponentVector`, every value a nonzero int, and for family "L" no
+    index 0.  Each check runs in C, over `map` and `filter`."""
+    if not (
+        {ExponentVector}.issuperset(map(type, terms))
+        and {int}.issuperset(map(type, terms.values()))
+        and all(terms.values())
+    ):
+        return False
+    if family == "L":
+        # a vector's pairs run in increasing index, so index 0 can only
+        # come first, and the least first pair has the least index
+        first = min(filter(None, map(_FIRST_PAIR, terms)), default=None)
+        return first is None or first[0][0] != 0
+    return True
+
+
 class Poly:
     """Sparse polynomial over one variable family with exact rational coefficients."""
 
@@ -159,6 +183,10 @@ class Poly:
     def __init__(self, family, terms=()):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if type(terms) is dict and _summed(family, terms):
+            self.family = family
+            self._terms = terms.copy()
+            return
         collected = {}
         for ev, c in (terms.items() if isinstance(terms, dict) else terms):
             if not isinstance(ev, ExponentVector):

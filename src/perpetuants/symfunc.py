@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count, permutations, product
-from math import log2, prod
+from math import comb, log2, prod
 
 from .polycore import ExponentVector, Poly
 
@@ -431,7 +431,7 @@ def _expand_forms(forms, n):
     upper = _digit_table(packed[:half], uses)
     lower = _digit_table(packed[half:], uses)
     last = [((n - 1, e),) if e else () for e in range(degree + 1)]
-    terms = []
+    terms = {}
     # From the highest slot down is lex-descending on (e1, ..., e(n-1)),
     # the canonical order of Poly.terms().
     width = len(lower)
@@ -443,9 +443,10 @@ def _expand_forms(forms, n):
             e = degree - hi_degree - lo_degree
             if e < 0:
                 raise AssertionError(f"slot {hi * width + lo} has degree above {degree}")
-            terms.append((ExponentVector._of(hi_pairs + lo_pairs + last[e]), block[lo]))
-    if sum(c for _, c in terms) != prod(sum(form.values()) for form in forms):
+            terms[ExponentVector._of(hi_pairs + lo_pairs + last[e])] = block[lo]
+    if sum(terms.values()) != prod(sum(form.values()) for form in forms):
         raise AssertionError("the expansion's coefficient sum does not match its forms'")
+    # distinct slots give distinct monomials, so the Poly takes the dict as built
     return Poly("L", terms)
 
 
@@ -482,6 +483,62 @@ def q_n(n):
     if len(forms) != 2 ** (n - 1) - 1:
         raise AssertionError("q_n degree mismatch")
     return _expand_forms(forms, n)
+
+
+def _form_leads(n, h):
+    """({j: the number of reduced forms of p_h that lead with L_j}, the
+    number of those forms whose lead has coefficient -1), counted by
+    binomial coefficients, without listing the forms.
+
+    In lex order a form leads with its smallest variable.  A form without
+    n in T is +sum(L_i, i in T) and leads with L_j for j = min(T): the
+    other h - 1 places of T lie in j+1..n-1.  A form with n in T is
+    -sum(L_i, i < n not in T) and leads with L_j for the least j < n
+    outside T: 1..j-1 lie in T and its other h - j places in j+1..n-1.
+    For n = 2h only the subsets holding 1 are forms, so a form without n
+    leads with L1 and a form with n leads with L_j, j >= 2.
+    """
+    half = 2 * h == n
+    leads = Counter({j: comb(n - 1 - j, h - 1) for j in range(1, 2 if half else n)})
+    negative = Counter({j: comb(n - 1 - j, h - j) for j in range(2 if half else 1, h + 1)})
+    return leads + negative, sum(negative.values())
+
+
+def q_n_leading_monomial(n):
+    """(coefficient, exponent vector) of the lex-leading term of q_n, read
+    off its linear forms without expanding them.
+
+    Lex order is a monomial order, so a product of linear forms leads with
+    the product of their leading terms, each a variable with coefficient
+    +1 or -1 (`_form_leads`).  The exponent of L_j is the number of forms
+    that lead with L_j, and the coefficient is -1 to the number of forms
+    that lead with -1.  O(n^2) steps for any n >= 3; the paper's lemma
+    says the exponent is (2^(n-2), ..., 2, 1).
+    """
+    if n < 3:
+        raise ValueError("q_n is defined for n >= 3")
+    exponent, negatives = Counter(), 0
+    for h in range(1, n // 2 + 1):
+        leads, minus = _form_leads(n, h)
+        exponent += leads
+        negatives += minus
+    if sum(exponent.values()) != 2 ** (n - 1) - 1:
+        raise AssertionError("q_n degree mismatch")
+    return (-1) ** negatives, ExponentVector(exponent)
+
+
+def reduced_e_leading_monomial(i, n):
+    """(coefficient, exponent vector) of the lex-leading term of e_i
+    reduced modulo L1 + ... + Ln, for 2 <= i <= n: -L1^2 * L2 * ... * L(i-1).
+
+    With Ln = -(L1 + ... + L(n-1)) and e' the elementary functions of the
+    first n - 1 variables, e_i reduces to e_i' - e_1' * e_(i-1)', and
+    e_1' * e_(i-1)' leads with L1 * (L1 * ... * L(i-1)), above every term
+    of e_i' (which is 0 for i = n).
+    """
+    if not 2 <= i <= n:
+        raise ValueError(f"i must satisfy 2 <= i <= {n}")
+    return -1, ExponentVector._of(((1, 2),) + tuple((j, 1) for j in range(2, i)))
 
 
 def leading_exponent(p):

@@ -243,7 +243,11 @@ class MonomialIndex:
         # The full alpha rows of `potenziante` are mostly zeros; skipping
         # them here spares the constructor a hash of each.
         exponents = self.exponents
-        return Poly("a", ((exponents[j], c) for j, c in coefficients if c))
+        pairs = [(exponents[j], c) for j, c in coefficients if c]
+        terms = dict(pairs)
+        # distinct positions are distinct monomials: a dict of nonzero
+        # ints is taken as it is, any other input is summed pair by pair
+        return Poly("a", terms if len(terms) == len(pairs) else pairs)
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,11 @@ from perpetuants import (
     is_translation_invariant,
     kernel_oracle,
     leading_exponent,
+    leading_monomial,
     potenziante,
     q_n,
+    q_n_leading_monomial,
+    reduced_e_leading_monomial,
     span_equal,
     stroh_series,
     threshold,
@@ -94,6 +97,15 @@ def test_criterion_4_leading_exponent_lemmas(report):
         k = (0,) + threshold(n).k
         reduced = bar_reduce(e_monomial(k, n), n)
         ok = ok and leading_exponent(reduced) == leading_exponent(q_n(n))
+    # the expansion-free route: q_n's leading term read off its forms, and
+    # each reduced e_i's leading term, which `threshold` sums at run time
+    for n in (3, 4, 5, 6):
+        ok = ok and q_n_leading_monomial(n) == leading_monomial(q_n(n))
+    for n in range(2, 8):
+        for i in range(2, n + 1):
+            k = tuple(int(j == i) for j in range(1, n + 1))
+            reduced = bar_reduce(e_monomial(k, n), n)
+            ok = ok and reduced_e_leading_monomial(i, n) == leading_monomial(reduced)
     report(ok, "criterion 4: leading exponents of q_n and of the threshold e-monomial")
 
 

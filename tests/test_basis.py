@@ -3,6 +3,7 @@ span comparison."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,25 @@ def test_u_basis_empty_cells():
     assert u_basis(1, 1) == []
     assert u_basis(3, 1) == []
     assert u_basis(2, 3) == []
+
+
+def test_u_basis_of_an_empty_cell_builds_no_alpha(monkeypatch):
+    # S_{n,g} is empty for g >= 1 when n = 1, g = 1, or n = 2 and g is odd
+    def refuse(n, g):
+        raise AssertionError(f"alpha({n}, {g}) must not be built")
+
+    for n in range(1, 6):
+        for g in range(13):
+            empty = dim_series(n, g)[g] == 0
+            assert (invariant_rows(n, g) == []) == empty
+            if empty:
+                monkeypatch.setattr(basis_mod, "transition_alpha", refuse)
+                assert u_basis(n, g) == []
+                monkeypatch.undo()
+    monkeypatch.setattr(basis_mod, "transition_alpha", refuse)
+    assert u_basis(1, 10**12) == []
+    assert u_basis(10**12, 1) == []
+    assert u_basis(2, 10**12 + 1) == []
 
 
 def test_invariant_rows_are_the_nonzero_entries_of_the_k1_zero_alpha_rows():
@@ -362,6 +382,17 @@ def test_monomial_index_row_is_sparse():
     assert index.poly(row.items()) == u
     with pytest.raises(ValueError, match=r"a1\^3 is not of bidegree \(3, 2\)"):
         monomial_index(3, 2).row(a(1) ** 3)
+
+
+def test_monomial_index_poly_sums_repeated_positions():
+    # distinct positions are taken as they are; repeated ones are summed
+    index = monomial_index(3, 3)
+    ev = index.exponents
+    assert index.poly([(0, 2), (2, -1), (0, 0)]) == Poly("a", {ev[0]: 2, ev[2]: -1})
+    assert index.poly([(0, 2), (2, -1), (0, 3)]) == Poly("a", {ev[0]: 5, ev[2]: -1})
+    assert index.poly([(0, 2), (2, -1), (0, -2)]) == Poly("a", {ev[2]: -1})
+    half = index.poly([(1, Fraction(1, 2)), (1, Fraction(1, 2))])
+    assert half == Poly("a", {ev[1]: 1}) and type(half.coefficient(ev[1])) is int
 
 
 def test_row_ranks_take_sparse_rows():

@@ -34,8 +34,9 @@ def test_basis_3_3_text():
 
 
 def test_basis_at_large_weight_has_bounded_stack_depth():
-    # beta(1, g) is built from the smaller weights; their number must not
-    # set the recursion depth
+    # S_{1,g} is empty for g >= 1, so no alpha is built at all; the depth
+    # of alpha(1, g) built from its smaller weights is tested in
+    # test_symfunc
     code, out, err = call("basis", "1", "3000")
     assert (code, out, err) == (0, "(empty)\n", "")
 
@@ -136,6 +137,31 @@ def test_qn_json_equals_the_dumped_envelope(n):
     lead = symfunc.leading_exponent(q).as_tuple(n - 1, first_index=1)
     expected = json.dumps({"n": n, "leading_exponent": list(lead), "poly": q.to_json_dict()})
     assert call("qn", str(n), "--format", "json") == (0, expected + "\n", "")
+
+
+def test_qn_reads_the_leading_exponent_off_the_forms(monkeypatch):
+    # the general scan over q_n's terms is not called
+    def refuse(p):
+        raise AssertionError("leading_exponent must not be called")
+
+    monkeypatch.setattr(symfunc, "leading_exponent", refuse)
+    code, out, _ = call("qn", "5")
+    assert code == 0
+    assert out.endswith("leading exponent: (8, 4, 2, 1)\n")
+
+
+def test_qn_checks_the_forms_lead_against_the_expansion(monkeypatch):
+    def wrong_sign(n):
+        c, ev = lead(n)
+        return -c, ev
+
+    lead = symfunc.q_n_leading_monomial
+    monkeypatch.setattr(symfunc, "q_n_leading_monomial", wrong_sign)
+    with pytest.raises(
+        AssertionError,
+        match=r"^q_4 has coefficient 1 at its leading exponent \(4, 2, 1\), not -1$",
+    ):
+        call("qn", "4")
 
 
 def test_qn_rejects_small_n():
@@ -245,6 +271,13 @@ def test_cell_limit_admits_one_monomial_cells(monkeypatch, n, g):
     monkeypatch.setattr(basis_mod, "u_basis", admitted)
     with pytest.raises(RuntimeError, match=rf"admitted \({n}, {g}\)"):
         call("basis", str(n), str(g))
+
+
+@pytest.mark.parametrize("n,g", [(1, 1000000000000), (1000000000000, 1)])
+def test_one_monomial_cells_are_empty_at_once(n, g):
+    # S_{n,g} is empty for n = 1 or g = 1: u_basis answers before it
+    # builds alpha(1, w) for every w < g or pads an e-index to n entries
+    assert call("basis", str(n), str(g)) == (0, "(empty)\n", "")
 
 
 def test_cell_limit_admits_6_36(monkeypatch):

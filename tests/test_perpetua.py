@@ -7,6 +7,7 @@ import pytest
 from certificate_reference import full_width_certificate
 
 from perpetuants import (
+    ExponentVector,
     Poly,
     decomposable_span,
     degree2_perpetuant,
@@ -81,6 +82,31 @@ def test_threshold_values():
 def test_threshold_needs_three():
     with pytest.raises(ValueError):
         threshold(2)
+
+
+def test_threshold_is_cached_per_degree():
+    assert threshold(7) is threshold(7)
+
+
+@pytest.mark.parametrize("n", [3, 6, 40])
+def test_threshold_checks_the_lemma_without_expansion(monkeypatch, n):
+    # the reduced threshold e-monomial's leading exponent is compared with
+    # the one read off q_n's forms; a wrong forms count must be refused
+    def wrong_lead(n):
+        return 1, ExponentVector({1: 2 ** (n - 2) + 1})
+
+    monkeypatch.setattr(perpetua, "q_n_leading_monomial", wrong_lead)
+    threshold.cache_clear()
+    try:
+        wanted = ", ".join(str(2**i) for i in range(n - 2, -1, -1))
+        found = ", ".join([str(2 ** (n - 2) + 1)] + ["0"] * (n - 2))
+        with pytest.raises(AssertionError) as raised:
+            threshold(n)
+        message = str(raised.value)
+        assert f"leads with ({wanted})" in message
+        assert f"q_{n} with ({found})" in message
+    finally:
+        threshold.cache_clear()
 
 
 def test_threshold_domination():

@@ -214,6 +214,66 @@ def test_constructor_sums_repeated_monomials(family, pairs):
         assert type(c) is (int if s.denominator == 1 else Fraction)
 
 
+DICT_KEYS = MONOMIALS + [ExponentVector({0: 1}), ExponentVector({0: 2, 2: 1})]
+
+
+@st.composite
+def term_dicts(draw):
+    """A dict of distinct monomials, some with index 0, as ExponentVectors
+    or plain tuples of pairs, to zero, int, Fraction or float coefficients."""
+    keys = draw(st.lists(st.sampled_from(DICT_KEYS), unique=True, max_size=len(DICT_KEYS)))
+    values = st.integers(-4, 4) | st.integers(-4, 4).map(lambda x: Fraction(x, 3)) | st.sampled_from([0.0, -1.5, 2.0])
+    return {
+        (tuple(ev) if draw(st.booleans()) else ev): draw(values)
+        for ev in keys
+    }
+
+
+@given(st.sampled_from(["a", "L"]), term_dicts())
+@settings(max_examples=200, deadline=None)
+def test_a_dict_builds_the_summed_poly(family, terms):
+    # a summed dict of ExponentVector keys and nonzero ints is taken as it
+    # is; any other dict is summed pair by pair, with the same result, and
+    # an index 0 in family "L" is refused either way
+    if family == "L" and any(ev and ev[0][0] == 0 for ev in terms):
+        for given_terms in (terms, list(terms.items())):
+            with pytest.raises(ValueError, match="L-variables are indexed from 1"):
+                Poly(family, given_terms)
+        return
+    p = Poly(family, terms)
+    reference = Poly(family, list(terms.items()))
+    assert p == reference
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.items())
+    assert all(type(ev) is ExponentVector for ev in p.exponents())
+    terms[ExponentVector({5: 1})] = 7
+    terms.pop(next(iter(terms)))
+    assert p == reference
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {ExponentVector({0: 1}): 1},
+        {ExponentVector({1: 1}): 2, ExponentVector({0: 2, 3: 1}): 1},
+        {ExponentVector(): 3, ExponentVector({0: 1, 1: 1}): -1},
+        {((0, 1),): 1},
+    ],
+)
+def test_a_dict_with_index_0_is_refused_in_family_L(terms):
+    with pytest.raises(ValueError, match="L-variables are indexed from 1"):
+        Poly("L", terms)
+    assert Poly("a", terms) == Poly("a", list(terms.items()))
+
+
+def test_a_summed_dict_is_copied():
+    terms = {ExponentVector({1: 1}): 2, ExponentVector({2: 3}): -1}
+    p = Poly("L", terms)
+    terms[ExponentVector({1: 1})] = 5
+    del terms[ExponentVector({2: 3})]
+    assert p.coefficient(ExponentVector({1: 1})) == 2
+    assert p.coefficient(ExponentVector({2: 3})) == -1
+
+
 def test_missing_coefficient_is_int_zero():
     c = a(1).coefficient(ExponentVector({2: 1}))
     assert type(c) is int and c == 0

@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,8 @@ from perpetuants import (
     partitions,
     partitions_at_most,
     q_n,
+    q_n_leading_monomial,
+    reduced_e_leading_monomial,
     transition_alpha,
     transition_beta,
 )
@@ -640,6 +643,54 @@ def test_leading_exponent_of_q6():
     q = q_n(6)
     assert q.total_degree() == 31
     assert leading_exponent(q).as_tuple(5, first_index=1) == (16, 8, 4, 2, 1)
+
+
+def test_alpha_at_large_weight_has_bounded_stack_depth():
+    # alpha(1, g) is built from every smaller weight; their number must not
+    # set the recursion depth
+    assert transition_alpha(1, 3000).entries == [[1]]
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_form_leads_count_the_reduced_forms(n):
+    # the binomial count of each p_h's leading variables and -1 leads
+    # equals a count over the forms themselves
+    for h in range(1, n // 2 + 1):
+        leads, negatives = Counter(), 0
+        for form in symfunc._reduced_forms(n, h):
+            j = min(form)
+            leads[j] += 1
+            negatives += form[j] == -1
+        assert symfunc._form_leads(n, h) == (leads, negatives)
+
+
+def test_q_n_leading_monomial_is_the_lemma_exponent():
+    for n in range(3, 41):
+        _, lead = q_n_leading_monomial(n)
+        assert lead.as_tuple(n - 1, first_index=1) == tuple(2 ** i for i in range(n - 2, -1, -1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_q_n_leading_monomial_matches_the_expansion(n):
+    assert q_n_leading_monomial(n) == leading_monomial(q_n(n))
+
+
+def test_q_n_leading_monomial_needs_three():
+    with pytest.raises(ValueError):
+        q_n_leading_monomial(2)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_reduced_e_leading_monomial_matches_the_expansion(n):
+    for i in range(2, n + 1):
+        k = tuple(int(j == i) for j in range(1, n + 1))
+        assert reduced_e_leading_monomial(i, n) == leading_monomial(bar_reduce(e_monomial(k, n), n))
+
+
+@pytest.mark.parametrize("i,n", [(1, 3), (4, 3), (0, 2)])
+def test_reduced_e_leading_monomial_range(i, n):
+    with pytest.raises(ValueError):
+        reduced_e_leading_monomial(i, n)
 
 
 def test_leading_monomial_returns_coefficient():
