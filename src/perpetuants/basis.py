@@ -177,11 +177,12 @@ def span_equal(a_list, b_list):
     """Compare spans of two polynomial lists over one common bidegree.
 
     Returns (equal, rank_a, rank_b, rank_union).  Each list becomes rows
-    once; the rows of b_list serve both eliminations.
+    once, and `linalg.union_ranks` validates and renumbers the rows of
+    both once for its two eliminations, of b_list alone and of a_list
+    followed by b_list.
     """
     (a_rows, b_rows), ncols = _span_rows(a_list, b_list)
-    rank_a, rank_union = row_ranks(a_rows, b_rows, ncols=ncols)
-    (rank_b,) = row_ranks(b_rows, ncols=ncols)
+    rank_a, rank_b, rank_union = linalg.union_ranks(a_rows, b_rows, ncols=ncols)
     return rank_a == rank_b == rank_union, rank_a, rank_b, rank_union
 
 

@@ -4,10 +4,11 @@ A matrix is a list of rows over an explicit column count, and a row is a
 {column: entry} dict of its nonzero entries, the one form every row of the
 package is built in.  Entries are ints or Fractions; a rational row is
 scaled to integers first (row scaling preserves rank, row span and null
-space).  Every rank, row rank profile and null space comes from one
-elimination loop on {column: int} dicts.  Elimination is deterministic:
-the pivot is always the first row with a nonzero entry in the current
-column, so results are reproducible.
+space).  One function, `_integer_rows`, holds these row rules, and every
+rank, row rank profile and null space comes from one elimination loop on
+the {column: int} dicts it returns.  Elimination is deterministic: the
+pivot is always the first row with a nonzero entry in the current column,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from math import gcd, lcm
 _NATIVE = "little" if memoryview(b"\1" + bytes(7)).cast("Q")[0] == 1 else "big"
 
 
-def _integer_rows(matrix, ncols):
-    """Each row of `matrix` as a {column: int} dict of its nonzero entries.
-    A row of nonzero ints is taken as it is, not copied.
+def _integer_rows(matrix, ncols, moved=None):
+    """Each row of `matrix` as a {column: int} dict of its nonzero entries:
+    zero entries dropped and a rational row scaled to integers.  With
+    `moved`, a {column: new column} dict over every column, each row's
+    columns are renumbered by it in the same pass.  Without it a row of
+    nonzero ints is taken as it is, not copied.
 
     Raises ValueError for an entry outside columns [0, ncols).
     """
@@ -31,13 +35,32 @@ def _integer_rows(matrix, ncols):
     for row in matrix:
         if 0 in row.values():
             row = {j: x for j, x in row.items() if x}
-        if row and (min(row) < 0 or max(row) >= ncols):
+        if moved is not None:
+            try:
+                row = dict(zip(map(moved.__getitem__, row), row.values()))
+            except KeyError:
+                raise ValueError(f"row entry outside columns 0..{ncols - 1}") from None
+        elif row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"row entry outside columns 0..{ncols - 1}")
         if not set(map(type, row.values())) <= {int}:
             den = lcm(*(x.denominator for x in row.values()))
             row = {j: int(x * den) for j, x in row.items()}
         rows.append(row)
     return rows
+
+
+def _sparsest_first(rows, ncols):
+    """`_integer_rows` of `rows` with the columns renumbered by their count
+    of dict keys, fewest first.
+
+    Only a row rank profile may be read off the result, since it alone
+    does not depend on the column order.  Sparsest columns first: each
+    free column of a null space basis holds a single nonzero, so its pivot
+    updates only the rows that use that vector.
+    """
+    nonzeros = Counter(chain.from_iterable(rows))
+    order = sorted(range(ncols), key=nonzeros.__getitem__)
+    return _integer_rows(rows, ncols, {j: k for k, j in enumerate(order)})
 
 
 def _echelon(sparse, ncols):
@@ -52,14 +75,16 @@ def _echelon(sparse, ncols):
     0..i-1.
 
     A pivot p updates each row with an entry r in its column to
-    (p/g) * row - (r/g) * pivot_row, with g = gcd(p, r), divided by the gcd
-    of its entries; a row that no pivot touches is left as it is.  The
-    Bareiss row (Math. Comp. 22, 1968) spans the same line as each updated
-    row, which is primitive, so no entry exceeds a minor of the input.
-    Rows are bucketed by leading column while they are not pivots, so a
-    pivot updates only the rows that use its column.  An input dict is
-    never changed: the first update of a row works on a copy, and later
-    updates change that copy in place.
+    (|p|/g) * row - (sign(p) * r/g) * pivot_row, with g = gcd(p, r),
+    divided by the gcd of its entries; a row that no pivot touches is left
+    as it is.  The row's multiplier stays positive, so a pivot of -1, the
+    free-column entry of many kernel vectors, adds a multiple of the pivot
+    row and rescales nothing.  The Bareiss row (Math. Comp. 22, 1968)
+    spans the same line as each updated row, which is primitive, so no
+    entry exceeds a minor of the input.  Rows are bucketed by leading
+    column while they are not pivots, so a pivot updates only the rows
+    that use its column.  An input dict is never changed: the first update
+    of a row works on a copy, and later updates change that copy in place.
     """
     below = {}  # leading column -> input indices of rows not yet pivots
     for i, row in enumerate(sparse):
@@ -81,8 +106,9 @@ def _echelon(sparse, ncols):
             if i == pivot:
                 continue
             row = sparse[i]
-            g = gcd(p, row[c])
-            a, b = p // g, row[c] // g
+            r = row[c]
+            g = gcd(p, r)
+            a, b = abs(p) // g, (r if p > 0 else -r) // g
             if a != 1:
                 row = {j: a * x for j, x in row.items()}
             elif i not in owned:
@@ -117,18 +143,25 @@ def row_ranks(*groups, ncols):
     """Ranks of the spans of groups[0], groups[0] + groups[1], and so on,
     from one elimination of the rows of all groups over `ncols` columns."""
     tags = [k for k, group in enumerate(groups) for _ in group]
-    rows = _integer_rows([row for group in groups for row in group], ncols)
-    # The row rank profile does not depend on the column order.  Sparsest
-    # columns first: each free column of a null space basis holds a single
-    # nonzero, so its pivot updates only the rows that use that vector.
-    nonzeros = Counter(chain.from_iterable(rows))
-    order = sorted(range(ncols), key=nonzeros.__getitem__)
-    moved = {j: k for k, j in enumerate(order)}.__getitem__
-    rows = [dict(zip(map(moved, row), row.values())) for row in rows]
+    rows = _sparsest_first([row for group in groups for row in group], ncols)
     counts = [0] * len(groups)
     for i in _echelon(rows, ncols)[2]:
         counts[tags[i]] += 1
     return list(accumulate(counts))
+
+
+def union_ranks(a, b, *, ncols):
+    """(rank of a, rank of b, rank of a + b) for two lists of rows over
+    `ncols` columns.
+
+    The rows of both are validated and renumbered once.  b is eliminated
+    alone on a shallow copy of the row list, which leaves its dicts as
+    they are, and then a followed by b on the list itself.
+    """
+    rows = _sparsest_first([*a, *b], ncols)
+    rank_b = len(_echelon(rows[len(a) :], ncols)[1])
+    pivot_rows = _echelon(rows, ncols)[2]
+    return sum(i < len(a) for i in pivot_rows), rank_b, len(pivot_rows)
 
 
 def nullspace(matrix, ncols):

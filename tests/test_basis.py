@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perpetuants import (
     FamilyMismatchError,
@@ -374,6 +376,53 @@ def test_span_ranks_are_ranks_of_growing_unions():
     assert span_ranks() == []
 
 
+@st.composite
+def span_pairs(draw):
+    """Two lists of a-polynomials of one cell, and whether b_list has a
+    poly outside span(a_list).  a_list lives on every monomial but the
+    last; b_list holds zero polys, repeats and Fraction multiples of
+    a_list's polys, their combinations, and maybe the last monomial."""
+    n, g = draw(st.sampled_from([(3, 6), (4, 6), (4, 8), (5, 7)]))
+    index = monomial_index(n, g)
+    width = len(index.parts)
+    coefficient = st.integers(-3, 3)
+    zero = Poly.zero("a")
+    a_list = [
+        index.poly((j, draw(coefficient)) for j in range(width - 1))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    b_list = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["zero", "repeat", "fraction", "combination"]))
+        if kind == "zero" or not a_list:
+            b_list.append(zero)
+        elif kind == "repeat":
+            b_list.append(draw(st.sampled_from(a_list)))
+        elif kind == "fraction":
+            b_list.append(draw(st.sampled_from(a_list)).scale(Fraction(draw(st.integers(1, 5)), 3)))
+        else:
+            p, q = draw(st.sampled_from(a_list)), draw(st.sampled_from(a_list))
+            b_list.append(p.scale(draw(coefficient)) + q.scale(draw(coefficient)))
+    outside = draw(st.booleans())
+    if outside:
+        b_list.insert(draw(st.integers(0, len(b_list))), index.poly([(width - 1, 1)]))
+    return a_list + draw(st.lists(st.just(zero), max_size=2)), b_list, outside
+
+
+@given(span_pairs())
+@settings(max_examples=150, deadline=None)
+def test_span_equal_ranks_are_the_three_span_ranks(pair):
+    a_list, b_list, outside = pair
+    equal, *ranks = span_equal(a_list, b_list)
+    rank_a, rank_b, rank_union = ranks
+    assert ranks == [span_rank(a_list), span_rank(b_list), span_rank(a_list + b_list)]
+    assert equal == (rank_a == rank_b == rank_union)
+    if outside:
+        assert rank_union == rank_a + 1 and not equal
+    else:
+        assert rank_union == rank_a
+
+
 def test_monomial_index_row_is_sparse():
     index = monomial_index(3, 3)
     u = u_basis(3, 3)[0].poly
@@ -406,12 +455,16 @@ def test_row_ranks_take_sparse_rows():
     [
         (([{2: 1}],), 2),
         (([{0: 1}], [{-1: 1}]), 2),
+        (([{0: 1}, {1: 2}], [{1: 1}, {0: 1, 2: 3}]), 2),
     ],
-    ids=["column-beyond", "negative-column"],
+    ids=["column-beyond", "negative-column", "column-beyond-in-second-group"],
 )
 def test_row_ranks_reject_rows_of_another_width(groups, ncols):
     with pytest.raises(ValueError):
         basis_mod.row_ranks(*groups, ncols=ncols)
+    if len(groups) == 2:
+        with pytest.raises(ValueError):
+            linalg.union_ranks(*groups, ncols=ncols)
 
 
 def test_in_span():

@@ -81,8 +81,9 @@ def _bareiss_update(pivot_row, row, c, prev):
 def _primitive_update(pivot_row, row, c, prev):
     if not row[c]:
         return row
-    g = gcd(pivot_row[c], row[c])
-    a, b = pivot_row[c] // g, row[c] // g
+    p, r = pivot_row[c], row[c]
+    g = gcd(p, r)
+    a, b = abs(p) // g, (r if p > 0 else -r) // g
     row = [a * x - b * y for x, y in zip(row, pivot_row)]
     content = gcd(*row)
     return [x // content for x in row] if content else row
@@ -96,8 +97,8 @@ def dense_bareiss_echelon(matrix):
 
 def dense_primitive_echelon(matrix):
     """The dense form of the elimination loop in `linalg`: each row below
-    the pivot with a nonzero entry in its column becomes (p/g) * row -
-    (r/g) * pivot_row, g = gcd(p, r), divided by its content."""
+    the pivot with a nonzero entry in its column becomes (|p|/g) * row -
+    (sign(p) * r/g) * pivot_row, g = gcd(p, r), divided by its content."""
     return _dense_echelon(matrix, _primitive_update)
 
 
@@ -280,6 +281,12 @@ def test_row_rank_profile_keeps_input_order():
     assert linalg.row_ranks([{1: 1}], [{1: 1}], [{0: 1}], ncols=2) == [1, 1, 2]
 
 
+def test_union_ranks_examples():
+    assert linalg.union_ranks([{0: 1}], [{0: 2}, {1: 1}], ncols=2) == (1, 2, 2)
+    assert linalg.union_ranks([{0: 1, 1: 0}, {}], [{0: Fraction(1, 2)}], ncols=2) == (1, 1, 1)
+    assert linalg.union_ranks([], [], ncols=0) == (0, 0, 0)
+
+
 @st.composite
 def profile_matrices(draw):
     # zero rows, integer combinations of earlier rows and some rational rows
@@ -331,6 +338,16 @@ def test_primitive_echelon_rows_come_back_unchanged():
     m = [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 5, 1], [0, 0, 0, 7]]
     assert _echelon(m) == (_sparse(m)[0], [0, 1, 2, 3], [0, 1, 2, 3])
     assert dense_primitive_echelon(m) == (m, [0, 1, 2, 3], [0, 1, 2, 3])
+
+
+def test_minus_one_pivot_adds_its_row_without_rescaling():
+    # p = -1, r = 4: the row becomes row + 4 * pivot_row = (0, 9, 12),
+    # divided by its content; its multiplier stays 1, not -1
+    m = [[-1, 2, 3], [4, 1, 0]]
+    assert _echelon(m) == ([{0: -1, 1: 2, 2: 3}, {1: 3, 2: 4}], [0, 1], [0, 1])
+    assert dense_primitive_echelon(m) == ([[-1, 2, 3], [0, 3, 4]], [0, 1], [0, 1])
+    # p = -2, r = 3: 2 * row + 3 * pivot_row = (0, 5, 4)
+    assert _echelon([[-2, 1, 0], [3, 1, 2]])[0] == [{0: -2, 1: 1}, {1: 5, 2: 4}]
 
 
 @st.composite
@@ -445,6 +462,7 @@ def test_callers_rows_are_left_unchanged(m):
     linalg.rank(rows, ncols)
     linalg.nullspace(rows, ncols)
     linalg.row_ranks(rows[:3], rows[1:], ncols=ncols)
+    linalg.union_ranks(rows[:3], rows[1:], ncols=ncols)
     assert _snapshot(rows) == before
 
 
@@ -455,5 +473,6 @@ def test_a_dict_held_twice_is_left_unchanged():
     assert linalg.rank(matrix, 3) == 2
     assert linalg.nullspace(matrix, 3) == [{0: 1, 1: -1, 2: 1}]
     assert linalg.row_ranks([row, other], [row], ncols=3) == [2, 2]
+    assert linalg.union_ranks([row], [other, row], ncols=3) == (1, 2, 2)
     assert matrix == [row, other, row] and matrix[0] is matrix[2]
     assert row == {0: 2, 1: 3, 2: 1} and other == {0: 1, 1: 1}
