@@ -18,7 +18,8 @@ from math import comb
 from . import basis as basis_mod
 from . import binforms, perpetua, symfunc
 
-# q_6 has 19930 terms and expands in about 0.1 s on a 2-vCPU Xeon; q_7,
+# q_6 has 19930 terms; in a fresh interpreter on a 2-vCPU Xeon it expands
+# in about 0.03 s and writes its JSON in about 0.02 s.  q_7,
 # of degree 63 in six variables, may have up to 10.4 million terms, and
 # symfunc.q_n refuses it: its coefficient bound is 94 bits, past the
 # 64-bit slots of a 39.1 million-slot box.
@@ -32,6 +33,14 @@ QN_MAX_N = 6
 # 558 MB.  basis and oracle also slow down with the degree: basis 14 26
 # took 23 s and basis 20 26 over 150 s.  (3,2000) exhausts memory.
 CELL_MAX_MONOMIALS = 2500
+
+# basis and oracle build alpha(n, g), with one e-index of n entries per
+# monomial, and basis prints each U_k's index in full, so a cell with few
+# monomials still costs time and memory linear in n.  They refuse a cell
+# whose e-indices have more entries than this when S_{n,g} is nonempty
+# (an empty cell builds no alpha).  On a 2-vCPU Xeon basis 500000 2, at
+# the limit, took 0.3 s cold, 0.13 s and 64 MB of it in `run`.
+INDEX_MAX_ENTRIES = 1_000_000
 
 # dims and stroh take about min(n, gmax) * gmax steps, in the series and in
 # its partition-count cross-check.  On a 2-vCPU Xeon, 3 * 10^6 steps took
@@ -118,26 +127,35 @@ def _emit_elements(elements, args, out):
             out.write(f"U_{{{','.join(str(x) for x in u.k)}}} = {poly}\n")
 
 
-def _too_large(n, g, err):
+def _too_large(n, g, err, indexed=False):
     """Write one line and return True when the cell (n, g) has more than
-    CELL_MAX_MONOMIALS monomials."""
+    CELL_MAX_MONOMIALS monomials or, when `indexed`, when S_{n,g} is
+    nonempty and its e-indices have more than INDEX_MAX_ENTRIES entries."""
     # partitions of g into at most n parts, counted as their conjugates:
     # partitions of g with every part at most min(n, g).  With parts up
     # to 1 there is one for every g; with larger parts the count never
     # falls as the weight grows, so the walk stops at the first weight
-    # past the limit.
-    if min(n, g) <= 1:
-        return False
-    for w, count in enumerate(symfunc.partition_counts(min(n, g))):
-        if count > CELL_MAX_MONOMIALS:
-            break
-        if w == g:
-            return False
-    err.write(
-        f"({n}, {g}) has more than {CELL_MAX_MONOMIALS} degree-{n} weight-{g} "
-        f"monomials, the limit for a cell\n"
-    )
-    return True
+    # past the limit.  dim S_{n,g} is the count at g less the count at
+    # g - 1 (Cayley-Sylvester).
+    below, count = int(g > 0), 1
+    if min(n, g) > 1:
+        for w, count in enumerate(symfunc.partition_counts(min(n, g))):
+            if count > CELL_MAX_MONOMIALS:
+                err.write(
+                    f"({n}, {g}) has more than {CELL_MAX_MONOMIALS} degree-{n} "
+                    f"weight-{g} monomials, the limit for a cell\n"
+                )
+                return True
+            if w == g:
+                break
+            below = count
+    if indexed and count > below and n * count > INDEX_MAX_ENTRIES:
+        err.write(
+            f"({n}, {g}) has e-indices of n * monomials = {n * count} entries, "
+            f"more than {INDEX_MAX_ENTRIES}, the limit for a cell's e-indices\n"
+        )
+        return True
+    return False
 
 
 def run(argv, out=sys.stdout, err=sys.stderr):
@@ -156,7 +174,7 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         return 2
 
     if args.command == "basis":
-        if _too_large(args.n, args.g, err):
+        if _too_large(args.n, args.g, err, indexed=True):
             return 2
         _emit_elements(basis_mod.u_basis(args.n, args.g), args, out)
         return 0
@@ -262,7 +280,7 @@ def run(argv, out=sys.stdout, err=sys.stderr):
         return 0 if ok else 1
 
     if args.command == "oracle":
-        if _too_large(args.n, args.g, err):
+        if _too_large(args.n, args.g, err, indexed=True):
             return 2
         kernel = basis_mod.kernel_oracle(args.n, args.g)
         ub = basis_mod.u_basis(args.n, args.g)

@@ -16,6 +16,11 @@ repeated monomial and keeps only the nonzero sums, so arithmetic hands
 it unsummed pairs.  A dict that is already summed, with `ExponentVector`
 keys and nonzero int values (and no index 0 in family "L"), is copied as
 it is, after checks that run in C.
+`terms()`, `to_json()` and `str()` list the terms in canonical order,
+sorting them, except for a Poly built by `Poly._in_order`: the one
+builder that calls it, `symfunc._expand_forms`, hands over its dict
+already in that order, so it is read as it is.  Any Poly derived from
+one, by arithmetic, substitution or a JSON round trip, is sorted again.
 All values are immutable; every operation returns a new object.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
 text parsed, and `from_json` reads it back.
@@ -178,7 +183,7 @@ def _summed(family, terms):
 class Poly:
     """Sparse polynomial over one variable family with exact rational coefficients."""
 
-    __slots__ = ("family", "_terms")
+    __slots__ = ("family", "_terms", "_ordered")
 
     def __init__(self, family, terms=()):
         if family not in _FAMILIES:
@@ -186,6 +191,7 @@ class Poly:
         if type(terms) is dict and _summed(family, terms):
             self.family = family
             self._terms = terms.copy()
+            self._ordered = False
             return
         collected = {}
         for ev, c in (terms.items() if isinstance(terms, dict) else terms):
@@ -200,6 +206,7 @@ class Poly:
                 del collected[ev]
         self.family = family
         self._terms = collected
+        self._ordered = False
 
     # -- constructors ------------------------------------------------------
 
@@ -219,6 +226,14 @@ class Poly:
     def monomial(cls, family, ev, coeff=1):
         return cls(family, [(ev, coeff)])
 
+    @classmethod
+    def _in_order(cls, family, terms):
+        """The Poly of a summed term dict whose keys already run in
+        canonical order, which `terms()` then reads without a sort."""
+        poly = cls(family, terms)
+        poly._ordered = True
+        return poly
+
     # -- inspection --------------------------------------------------------
 
     def is_zero(self):
@@ -226,6 +241,8 @@ class Poly:
 
     def terms(self):
         """Terms in canonical (graded, then leading-variable) order."""
+        if self._ordered:
+            return list(self._terms.items())
         return [(ev, self._terms[ev]) for ev in sorted(self._terms, key=_canon_key)]
 
     def exponents(self):

@@ -377,21 +377,44 @@ def _digit_table(variables, uses):
 
 
 # The box of one expansion: 2^23 slots are 64 MiB of packed int.  q_6 has
-# 83,521 slots, p_h(7, 3) 4.08 M (3.2-4.6 s, 281 MB) and p_h(8, 2) 4.83 M;
+# 83,521 slots, p_h(7, 3) 4.08 M (1.8-2.3 s, 245 MB cold) and p_h(8, 2) 4.83 M;
 # p_h(9, 2) would have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
 EXPAND_MAX_SLOTS = 1 << 23
+
+
+def _times_form(acc, steps):
+    """acc times the sum of c * 2^s over the (s, c) steps, by Horner's rule
+    over the shifts s, largest first: one shift and one add or subtract
+    of acc per step, and a multiply only for c other than +1 or -1."""
+    total, above = 0, steps[0][0] if steps else 0
+    for s, c in steps:
+        total <<= above - s
+        above = s
+        if c == 1:
+            total += acc
+        elif c == -1:
+            total -= acc
+        else:
+            total += c * acc
+    return total << above
 
 
 def _expand_forms(forms, n):
     """The product of linear forms {j: c} in L1..L(n-1), expanded as a Poly.
 
     Kronecker substitution: L_j becomes x^r_j with x = 2^64, so the whole
-    product is one int, built by shift-and-add, whose 64-bit slots are the
-    signed coefficients.  No exponent of L_j exceeds u_j, the number of
-    forms that use it, so the mixed radix r_j = prod((u_k + 1) for
-    j < k < n - 1) never carries, L1 most significant.  Every form is
+    product is one int whose 64-bit slots are the signed coefficients.
+    Each form multiplies it by Horner's rule over the form's shifts,
+    largest first (`_times_form`).  No exponent of L_j exceeds u_j, the
+    number of forms that use it, so the mixed radix r_j = prod((u_k + 1)
+    for j < k < n - 1) never carries, L1 most significant.  Every form is
     linear, so the product is homogeneous of degree len(forms): L(n-1)
     gets r = 0 and its exponent is that degree minus the others.
+
+    The dict is filled from the highest slot down, lex-descending on
+    (e1, ..., e(n-1)), which on a homogeneous product is the canonical
+    order of `Poly.terms()`; the Poly is built by `Poly._in_order`, so it
+    is read in that order without a sort.
 
     The product of the forms' l1 norms bounds every coefficient; a bound
     of 2^63 or more raises ValueError before any product is built, and so
@@ -420,7 +443,7 @@ def _expand_forms(forms, n):
     # in increasing largest shift keeps the partial products short.
     acc = 1
     for form in sorted(forms, key=lambda form: max(map(shift.get, form), default=0)):
-        acc = sum(c * (acc << shift[j]) for j, c in form.items())
+        acc = _times_form(acc, sorted(((shift[j], c) for j, c in form.items()), reverse=True))
     # Adding 2^63 to every slot makes each one nonnegative without a
     # carry; the XOR takes it off again as the slot's two's complement.
     offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
@@ -446,8 +469,9 @@ def _expand_forms(forms, n):
             terms[ExponentVector._of(hi_pairs + lo_pairs + last[e])] = block[lo]
     if sum(terms.values()) != prod(sum(form.values()) for form in forms):
         raise AssertionError("the expansion's coefficient sum does not match its forms'")
-    # distinct slots give distinct monomials, so the Poly takes the dict as built
-    return Poly("L", terms)
+    # distinct slots give distinct monomials, so the Poly takes the dict as
+    # built, and its order as the canonical one
+    return Poly._in_order("L", terms)
 
 
 def p_h(n, h):

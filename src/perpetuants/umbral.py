@@ -118,9 +118,11 @@ def umbral_E(m):
     return Poly("a", ((_a_exponent(r), c) for r, c in m.terms.items()))
 
 
-def _a_exponent(parts):
-    """Exponent vector of a_p1 * a_p2 * ..., one factor per entry."""
-    exps = {}
+def _a_exponent(parts, n=0):
+    """Exponent vector of a_p1 * a_p2 * ..., one factor per entry, times
+    a_0 for each of the n - len(parts) entries short of n, without
+    padding the entries."""
+    exps = {0: n - len(parts)} if n > len(parts) else {}
     for x in parts:
         exps[x] = exps.get(x, 0) + 1
     return ExponentVector._of(sorted(exps.items()))
@@ -186,13 +188,10 @@ def is_translation_invariant(p):
 
 def a_monomial_for(partition, n):
     """The product a_h1 * ... * a_hn with zero parts contributing a_0."""
-    if isinstance(partition, Partition):
-        padded = partition.padded(n)
-    else:
-        padded = _exponents(partition) + (0,) * (n - len(partition))
-        if len(padded) != n:
-            raise ValueError("more parts than variables")
-    return Poly.monomial("a", _a_exponent(padded))
+    parts = partition.parts if isinstance(partition, Partition) else _exponents(partition)
+    if len(parts) > n:
+        raise ValueError("more parts than variables")
+    return Poly.monomial("a", _a_exponent(parts, n))
 
 
 class MonomialIndex:
@@ -216,7 +215,7 @@ class MonomialIndex:
     @cached_property
     def exponents(self):
         n = self.bidegree[0]
-        return tuple(_a_exponent(h + (0,) * (n - len(h))) for h in self.parts)
+        return tuple(_a_exponent(h, n) for h in self.parts)
 
     @cached_property
     def position(self):

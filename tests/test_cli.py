@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,65 @@ def test_one_monomial_cells_are_empty_at_once(n, g):
     # S_{n,g} is empty for n = 1 or g = 1: u_basis answers before it
     # builds alpha(1, w) for every w < g or pads an e-index to n entries
     assert call("basis", str(n), str(g)) == (0, "(empty)\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,entries",
+    [
+        ("oracle 99999999999999 2", 199999999999998),
+        ("oracle 99999999999999 0", 99999999999999),
+        ("basis 100000000 2", 200000000),
+        ("basis 500001 2 --format json", 1000002),
+        ("basis 400000 3", 1200000),
+    ],
+)
+def test_huge_degree_cells_past_the_index_limit_fail_fast(monkeypatch, argv, entries):
+    # two-monomial cells: their e-indices, n entries each, are refused
+    # before any is built
+    def compute(*args, **kwargs):
+        raise AssertionError("no e-index may be built past the limit")
+
+    for name in ("u_basis", "kernel_oracle"):
+        monkeypatch.setattr(basis_mod, name, compute)
+    for name in ("transition_alpha", "e_indices"):
+        monkeypatch.setattr(symfunc, name, compute)
+    start = time.perf_counter()
+    code, out, err = call(*argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"n * monomials = {entries} entries, more than {cli.INDEX_MAX_ENTRIES}," in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["basis 500000 2", "oracle 500000 2", "oracle 1000 10", "basis 1000000000000 1", "oracle 99999999999999 1"],
+)
+def test_index_limit_admits(monkeypatch, argv):
+    def admitted(n, g):
+        raise RuntimeError(f"admitted ({n}, {g})")
+
+    monkeypatch.setattr(basis_mod, "u_basis", admitted)
+    monkeypatch.setattr(basis_mod, "kernel_oracle", admitted)
+    with pytest.raises(RuntimeError, match="admitted"):
+        call(*argv.split())
+
+
+def test_two_monomial_cells_of_a_huge_degree_answer_at_once():
+    start = time.perf_counter()
+    # S_{n,1} is empty: the kernel of D at weight 1 is found over the
+    # monomial a_0^(n-1) a_1 without padding its exponents to n entries
+    assert call("oracle", "99999999999999", "1") == (
+        0, "ranks: basis=0 kernel=0 union=0 equal\n", ""
+    )
+    n = 100000
+    code, out, err = call("basis", str(n), "2", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    [u] = json.loads(out)
+    assert u["k"] == [1] + [0] * (n - 2)
+    assert Poly.from_json_dict(u["poly"]) == Poly.parse(f"-2*a0^{n - 1}*a2 + a0^{n - 2}*a1^2")
 
 
 def test_cell_limit_admits_6_36(monkeypatch):

@@ -8,8 +8,9 @@ import perpetuants
 
 SOURCES = sorted(Path(perpetuants.__file__).parent.glob("*.py"))
 
-# The builders' constructor of an already-sorted exponent vector.
-EXEMPT = {("ExponentVector", "_of")}
+# The builders' constructors of an already-sorted exponent vector and of a
+# Poly whose summed dict already runs in canonical order.
+EXEMPT = {("ExponentVector", "_of"), ("Poly", "_in_order")}
 
 
 def _private(name):
@@ -57,3 +58,17 @@ def test_private_reads_are_found():
         "    return linalg._echelon\n"
     )
     assert private_reads(source) == [(2, "_entries"), (7, "linalg._echelon")]
+
+
+def test_only_the_expansion_builds_a_poly_in_order():
+    # a Poly built by Poly._in_order is read without a sort, so its one
+    # caller must be the builder whose dict is known to be canonical
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Attribute) and node.attr == "_in_order":
+                        callers.append((path.name, function.name))
+    assert callers == [("symfunc.py", "_expand_forms")]

@@ -21,6 +21,7 @@ from perpetuants import (
 from perpetuants.symfunc import elementary
 from perpetuants.umbral import (
     a_monomial_for,
+    monomial_index,
     potenziante_tensor,
     tensor_apply_D,
     tensor_equal,
@@ -90,6 +91,16 @@ def test_umbral_exponents_must_be_nonnegative_integers(r):
         UmbralMonomial(r, 2)
     with pytest.raises(ValueError, match="nonnegative integers"):
         a_monomial_for(r, 2)
+
+
+def test_monomials_of_a_huge_degree_are_built_without_padding():
+    # a_0's exponent is counted, not padded out to n entries
+    n = 10**14
+    assert monomial_index(n, 2).exponents == (
+        ExponentVector({0: n - 1, 2: 1}),
+        ExponentVector({0: n - 2, 1: 2}),
+    )
+    assert a_monomial_for((2, 1), n) == Poly.monomial("a", ExponentVector({0: n - 2, 1: 1, 2: 1}))
 
 
 def test_a_monomial_for_rejects_more_parts_than_variables():
