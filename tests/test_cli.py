@@ -292,7 +292,7 @@ def test_one_monomial_cells_are_empty_at_once(n, g):
     ],
 )
 def test_huge_degree_cells_past_the_index_limit_fail_fast(monkeypatch, argv, entries):
-    # two-monomial cells: their e-indices, n entries each, are refused
+    # cells of two or three monomials: their e-indices, n entries each, are refused
     # before any is built
     def compute(*args, **kwargs):
         raise AssertionError("no e-index may be built past the limit")
