@@ -18,12 +18,18 @@ from math import comb
 from . import basis as basis_mod
 from . import binforms, perpetua, symfunc
 
-# q_6 has 19930 terms; in a fresh interpreter on a 2-vCPU Xeon it expands
-# in about 0.03 s and writes its JSON in about 0.02 s.  q_7,
+# q_6 has 19930 terms; in a fresh interpreter on a 2-vCPU Xeon with
+# CPython 3.11 it expands in 0.026-0.041 s (median 0.029 s over five runs)
+# and writes its JSON in about 0.015 s.  q_7,
 # of degree 63 in six variables, may have up to 10.4 million terms, and
 # symfunc.q_n refuses it: its coefficient bound is 94 bits, past the
 # 64-bit slots of a 39.1 million-slot box.
 QN_MAX_N = 6
+
+# `qn n` past QN_MAX_N names q_n's size in full up to n = 10, whose
+# monomial count has 17 digits, and by its formula past that: 2^(n-1) has
+# about 0.3 n digits, so the refusal of a huge n would never finish.
+QN_FULL_SIZE_N = 10
 
 # The a-monomials of a cell (n, g) index every matrix that basis,
 # perpetuants, oracle and verify build for it.  Degrees 3 and 4 build
@@ -125,6 +131,17 @@ def _emit_elements(elements, args, out):
         for u in elements:
             poly = u.poly.primitive_part() if args.primitive else u.poly
             out.write(f"U_{{{','.join(str(x) for x in u.k)}}} = {poly}\n")
+
+
+def _qn_size(n):
+    """q_n's degree 2^(n-1) - 1 and its bound on the terms, the number of
+    monomials of that degree in n - 1 variables, as text: in full up to
+    n = QN_FULL_SIZE_N, past it as the power and the binomial that give
+    them, so that no number longer than n itself is evaluated."""
+    if n <= QN_FULL_SIZE_N:
+        degree = 2 ** (n - 1) - 1
+        return str(degree), str(comb(degree + n - 2, n - 2))
+    return f"2^{n - 1} - 1", f"binomial(2^{n - 1} + {n - 3}, {n - 2})"
 
 
 def _too_large(n, g, err, indexed=False):
@@ -232,11 +249,10 @@ def run(argv, out=sys.stdout, err=sys.stderr):
             err.write("q_n needs n >= 3\n")
             return 2
         if args.n > QN_MAX_N:
-            degree = 2 ** (args.n - 1) - 1
+            degree, terms = _qn_size(args.n)
             err.write(
                 f"q_{args.n} has degree {degree} in {args.n - 1} variables, up to "
-                f"{comb(degree + args.n - 2, args.n - 2)} terms; "
-                f"qn is limited to n <= {QN_MAX_N}\n"
+                f"{terms} terms; qn is limited to n <= {QN_MAX_N}\n"
             )
             return 2
         # the leading term is read off q_n's linear forms; one lookup

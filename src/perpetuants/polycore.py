@@ -19,7 +19,8 @@ it is, after checks that run in C.
 `terms()`, `to_json()` and `str()` list the terms in canonical order,
 sorting them, except for a Poly built by `Poly._in_order`: the one
 builder that calls it, `symfunc._expand_forms`, hands over its dict
-already in that order, so it is read as it is.  Any Poly derived from
+already in that order, and the Poly keeps that dict, checked but not
+copied, and reads it as it is.  Any Poly derived from
 one, by arithmetic, substitution or a JSON round trip, is sorted again.
 All values are immutable; every operation returns a new object.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -74,11 +76,6 @@ class ExponentVector(tuple):
                 raise ValueError(f"bad exponent entry {i}^{e}")
             items.append((int(i), int(e)))
         return tuple.__new__(cls, items)
-
-    @classmethod
-    def _of(cls, pairs):
-        """The vector of pairs already sorted by index and positive; unchecked."""
-        return tuple.__new__(cls, pairs)
 
     @property
     def entries(self):
@@ -128,6 +125,12 @@ class ExponentVector(tuple):
         return f"ExponentVector({dict(self)!r})"
 
 
+# ExponentVector._of(pairs): the vector of pairs already sorted by index
+# and positive, unchecked.  A partial of tuple.__new__ is one C call, where
+# a classmethod would run a Python frame for every key a builder makes.
+ExponentVector._of = partial(tuple.__new__, ExponentVector)
+
+
 def _canon_key(ev):
     # Graded order for printing/iteration: total degree first, then the
     # exponent of the lowest-indexed variable, descending.
@@ -159,7 +162,7 @@ def _exact(c):
     return c
 
 
-_FIRST_PAIR = itemgetter(slice(0, 1))
+_FIRST_PAIR = itemgetter(0)
 
 
 def _summed(family, terms):
@@ -175,8 +178,8 @@ def _summed(family, terms):
     if family == "L":
         # a vector's pairs run in increasing index, so index 0 can only
         # come first, and the least first pair has the least index
-        first = min(filter(None, map(_FIRST_PAIR, terms)), default=None)
-        return first is None or first[0][0] != 0
+        first = min(map(_FIRST_PAIR, filter(None, terms)), default=None)
+        return first is None or first[0] != 0
     return True
 
 
@@ -229,8 +232,14 @@ class Poly:
     @classmethod
     def _in_order(cls, family, terms):
         """The Poly of a summed term dict whose keys already run in
-        canonical order, which `terms()` then reads without a sort."""
-        poly = cls(family, terms)
+        canonical order, which `terms()` then reads without a sort.  The
+        dict is checked by `_summed` and kept, not copied: the caller
+        hands it over and holds it no longer."""
+        if family not in _FAMILIES or type(terms) is not dict or not _summed(family, terms):
+            raise ValueError(f"not a summed {family!r} term dict")
+        poly = object.__new__(cls)
+        poly.family = family
+        poly._terms = terms
         poly._ordered = True
         return poly
 
@@ -430,8 +439,9 @@ class Poly:
         "i": e fragment is formatted once per call and reused.
         """
         fragment = _Fragments().__getitem__
+        terms = self._terms.items() if self._ordered else self.terms()
         body = ", ".join(
-            [f'{{"c": "{c}", "e": {{{", ".join(map(fragment, ev))}}}}}' for ev, c in self.terms()]
+            [f'{{"c": "{c}", "e": {{{", ".join(map(fragment, ev))}}}}}' for ev, c in terms]
         )
         return f'{{"family": "{self.family}", "terms": [{body}]}}'
 

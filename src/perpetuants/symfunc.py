@@ -377,8 +377,9 @@ def _digit_table(variables, uses):
 
 
 # The box of one expansion: 2^23 slots are 64 MiB of packed int.  q_6 has
-# 83,521 slots, p_h(7, 3) 4.08 M (1.8-2.3 s, 245 MB cold) and p_h(8, 2) 4.83 M;
-# p_h(9, 2) would have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
+# 83,521 slots, p_h(7, 3) 4.08 M (2.0-2.4 s, 168 MB peak RSS cold on a
+# 2-vCPU Xeon with CPython 3.11) and p_h(8, 2) 4.83 M; p_h(9, 2) would
+# have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
 EXPAND_MAX_SLOTS = 1 << 23
 
 
@@ -399,6 +400,28 @@ def _times_form(acc, steps):
     return total << above
 
 
+def _smith_ratio(form, shift):
+    """(largest shift) / (number of terms) of a form, the order key of
+    `_product_slots`: Smith's rule for weighted completion time."""
+    return max(map(shift.get, form), default=0) / max(len(form), 1)
+
+
+def _product_slots(forms, shift, size):
+    """The product of the forms, L_j packed at bit shift[j], as an array
+    of its `size` signed 64-bit slots.  The packed ints are this helper's
+    locals, so they are freed before the caller reads the slots."""
+    acc = 1
+    for form in sorted(forms, key=lambda form: _smith_ratio(form, shift)):
+        acc = _times_form(acc, sorted(((shift[j], c) for j, c in form.items()), reverse=True))
+    # Adding 2^63 to every slot makes each one nonnegative without a
+    # carry; the XOR takes it off again as the slot's two's complement.
+    offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
+    slots = array("q", ((acc + offset) ^ offset).to_bytes(8 * size, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 def _expand_forms(forms, n):
     """The product of linear forms {j: c} in L1..L(n-1), expanded as a Poly.
 
@@ -411,10 +434,19 @@ def _expand_forms(forms, n):
     linear, so the product is homogeneous of degree len(forms): L(n-1)
     gets r = 0 and its exponent is that degree minus the others.
 
-    The dict is filled from the highest slot down, lex-descending on
-    (e1, ..., e(n-1)), which on a homogeneous product is the canonical
-    order of `Poly.terms()`; the Poly is built by `Poly._in_order`, so it
-    is read in that order without a sort.
+    A Horner step costs the form's terms times the length of the product
+    so far, and lengthens it by the form's largest shift, so the forms
+    are taken in increasing (largest shift) / (number of terms), which
+    minimizes the sum of those costs by Smith's rule (`_smith_ratio`).
+
+    Each slot is decoded by one tuple concatenation: the pairs of its
+    upper digits and a table entry, by upper degree, of its lower digits'
+    pairs and L(n-1)'s.  The dict is filled from the highest slot down,
+    lex-descending on (e1, ..., e(n-1)), which on a homogeneous product
+    is the canonical order of `Poly.terms()`; the Poly is built by
+    `Poly._in_order`, which keeps the dict and reads it in that order
+    without a sort.  A nonzero slot whose exponents of L1..L(n-2) sum
+    past the degree raises AssertionError.
 
     The product of the forms' l1 norms bounds every coefficient; a bound
     of 2^63 or more raises ValueError before any product is built, and so
@@ -439,34 +471,36 @@ def _expand_forms(forms, n):
             f"the product of {degree} linear forms needs {size} slots, "
             f"more than the {EXPAND_MAX_SLOTS} of one expansion"
         )
-    # A form raises the top slot by its largest shift, so taking the forms
-    # in increasing largest shift keeps the partial products short.
-    acc = 1
-    for form in sorted(forms, key=lambda form: max(map(shift.get, form), default=0)):
-        acc = _times_form(acc, sorted(((shift[j], c) for j, c in form.items()), reverse=True))
-    # Adding 2^63 to every slot makes each one nonnegative without a
-    # carry; the XOR takes it off again as the slot's two's complement.
-    offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * size, "little")
-    slots = array("q", ((acc + offset) ^ offset).to_bytes(8 * size, "little"))
-    if sys.byteorder == "big":
-        slots.byteswap()
+    slots = _product_slots(forms, shift, size)
     half = len(packed) // 2
     upper = _digit_table(packed[:half], uses)
     lower = _digit_table(packed[half:], uses)
+    # tails[d][lo]: the pairs of lower digits lo and of L(n-1), whose
+    # exponent makes the degree up after upper digits of degree d; None
+    # where the digits' degrees sum past it, so that a nonzero slot there
+    # fails its concatenation
     last = [((n - 1, e),) if e else () for e in range(degree + 1)]
+    tails = {
+        d: [
+            lo_pairs + last[degree - d - lo_degree] if lo_degree <= degree - d else None
+            for lo_pairs, lo_degree in lower
+        ]
+        for d in {hi_degree for _, hi_degree in upper}
+    }
+    of = ExponentVector._of
     terms = {}
     # From the highest slot down is lex-descending on (e1, ..., e(n-1)),
     # the canonical order of Poly.terms().
     width = len(lower)
     for hi in range(len(upper) - 1, -1, -1):
         hi_pairs, hi_degree = upper[hi]
+        tail = tails[hi_degree]
         block = slots[hi * width:(hi + 1) * width]
         for lo in compress(range(width - 1, -1, -1), reversed(block)):
-            lo_pairs, lo_degree = lower[lo]
-            e = degree - hi_degree - lo_degree
-            if e < 0:
-                raise AssertionError(f"slot {hi * width + lo} has degree above {degree}")
-            terms[ExponentVector._of(hi_pairs + lo_pairs + last[e])] = block[lo]
+            try:
+                terms[of(hi_pairs + tail[lo])] = block[lo]
+            except TypeError:
+                raise AssertionError(f"slot {hi * width + lo} has degree above {degree}") from None
     if sum(terms.values()) != prod(sum(form.values()) for form in forms):
         raise AssertionError("the expansion's coefficient sum does not match its forms'")
     # distinct slots give distinct monomials, so the Poly takes the dict as

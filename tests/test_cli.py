@@ -182,6 +182,30 @@ def test_qn_7_fails_fast_with_its_size(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "n,size",
+    [
+        (8, "degree 127 in 7 variables, up to 6856577728 terms"),
+        (200, "degree 2^199 - 1 in 199 variables, up to binomial(2^199 + 197, 198) terms"),
+        (10**4, "degree 2^9999 - 1 in 9999 variables, up to binomial(2^9999 + 9997, 9998) terms"),
+        (10**20, f"degree 2^{10**20 - 1} - 1 in {10**20 - 1} variables"),
+    ],
+)
+def test_qn_past_the_limit_fails_fast_for_every_n(monkeypatch, n, size):
+    # past n = 10 the size is named by its formula: 2^(n-1) - 1 of a huge
+    # n would have more digits than str() writes, or take hours to write
+    def expand(n):
+        raise AssertionError("q_n must not be expanded past the guard")
+
+    monkeypatch.setattr(symfunc, "q_n", expand)
+    start = time.perf_counter()
+    code, out, err = call("qn", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("; qn is limited to n <= 6\n")
+    assert err.startswith(f"q_{n} has {size}")
+
+
+@pytest.mark.parametrize(
     "argv,cell",
     [
         ("verify 3 2000", "(3, 2000)"),

@@ -274,6 +274,29 @@ def test_a_summed_dict_is_copied():
     assert p.coefficient(ExponentVector({2: 3})) == -1
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {ExponentVector({1: 1}): 0},
+        {ExponentVector({1: 1}): Fraction(1, 2)},
+        {((1, 1),): 1},
+        {ExponentVector({0: 1}): 1},
+        [(ExponentVector({1: 1}), 1)],
+    ],
+)
+def test_in_order_refuses_what_is_not_a_summed_dict(terms):
+    with pytest.raises(ValueError, match="not a summed 'L' term dict"):
+        Poly._in_order("L", terms)
+
+
+def test_in_order_keeps_the_dict_it_is_given():
+    terms = {ExponentVector({1: 2}): 3, ExponentVector({1: 1, 2: 1}): -1}
+    p = Poly._in_order("L", terms)
+    assert p._terms is terms
+    assert p.terms() == list(terms.items())
+    assert p == Poly("L", list(terms.items()))
+
+
 def test_missing_coefficient_is_int_zero():
     c = a(1).coefficient(ExponentVector({2: 1}))
     assert type(c) is int and c == 0

@@ -568,6 +568,27 @@ def test_expand_forms_refuses_a_bound_of_two_to_the_63():
         symfunc._expand_forms([{1: 2}] * 63, 2)
 
 
+def test_expansion_refuses_a_slot_above_its_degree(monkeypatch):
+    # (L1 + L2)^2 packs L1 and L2 with two exponents each into 9 slots; the
+    # top slot, L1^2 * L2^2, has degree 4 and is empty.  A unit planted
+    # there by the last Horner step is reported by its slot, from the
+    # decode's table, before the coefficient sum (5, not 4) is checked.
+    forms = [{1: 1, 2: 1}] * 2
+    assert symfunc._expand_forms(forms, 4) == (L(1) + L(2)) ** 2
+    times_form = symfunc._times_form
+    calls = []
+
+    def planted(acc, steps):
+        calls.append(steps)
+        product = times_form(acc, steps)
+        return product + (1 << 64 * 8) if len(calls) == len(forms) else product
+
+    monkeypatch.setattr(symfunc, "_times_form", planted)
+    with pytest.raises(AssertionError, match=r"^slot 8 has degree above 2$"):
+        symfunc._expand_forms(forms, 4)
+    assert len(calls) == 2
+
+
 def test_only_the_expansion_is_read_in_the_order_it_was_built(monkeypatch):
     # terms() of an expansion sorts nothing; a Poly derived from one sorts
     # its terms again, counted by the calls of the sort key
