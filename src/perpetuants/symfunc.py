@@ -377,7 +377,7 @@ def _digit_table(variables, uses):
 
 
 # The box of one expansion: 2^23 slots are 64 MiB of packed int.  q_6 has
-# 83,521 slots, p_h(7, 3) 4.08 M (2.0-2.4 s, 168 MB peak RSS cold on a
+# 83,521 slots, p_h(7, 3) 4.08 M (2.0-2.5 s, 168 MB peak RSS cold on a
 # 2-vCPU Xeon with CPython 3.11) and p_h(8, 2) 4.83 M; p_h(9, 2) would
 # have 170.9 M and p_h(n, 1) has 3^(n-2), past it for n >= 17.
 EXPAND_MAX_SLOTS = 1 << 23
@@ -400,18 +400,14 @@ def _times_form(acc, steps):
     return total << above
 
 
-def _smith_ratio(form, shift):
-    """(largest shift) / (number of terms) of a form, the order key of
-    `_product_slots`: Smith's rule for weighted completion time."""
-    return max(map(shift.get, form), default=0) / max(len(form), 1)
-
-
 def _product_slots(forms, shift, size):
     """The product of the forms, L_j packed at bit shift[j], as an array
     of its `size` signed 64-bit slots.  The packed ints are this helper's
     locals, so they are freed before the caller reads the slots."""
     acc = 1
-    for form in sorted(forms, key=lambda form: _smith_ratio(form, shift)):
+    # Smith's rule: increasing (largest shift) / (number of terms)
+    order = sorted(forms, key=lambda form: max(map(shift.get, form), default=0) / (len(form) or 1))
+    for form in order:
         acc = _times_form(acc, sorted(((shift[j], c) for j, c in form.items()), reverse=True))
     # Adding 2^63 to every slot makes each one nonnegative without a
     # carry; the XOR takes it off again as the slot's two's complement.
@@ -437,7 +433,7 @@ def _expand_forms(forms, n):
     A Horner step costs the form's terms times the length of the product
     so far, and lengthens it by the form's largest shift, so the forms
     are taken in increasing (largest shift) / (number of terms), which
-    minimizes the sum of those costs by Smith's rule (`_smith_ratio`).
+    minimizes the sum of those costs by Smith's rule.
 
     Each slot is decoded by one tuple concatenation: the pairs of its
     upper digits and a table entry, by upper degree, of its lower digits'
