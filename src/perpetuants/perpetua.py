@@ -170,7 +170,7 @@ def decomposable_span(n, g):
     S_{n,g}."""
     rows = decomposable_rows(n, g)
     index = monomial_index(n, g)
-    return [index.poly(row.items()) for row in rows]
+    return [index.poly(row) for row in rows]
 
 
 def decomposable_rows(n, g):

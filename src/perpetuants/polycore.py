@@ -22,7 +22,13 @@ builder that calls it, `symfunc._expand_forms`, hands over its dict
 already in that order, and the Poly keeps that dict, checked but not
 copied, and reads it as it is.  Any Poly derived from
 one, by arithmetic, substitution or a JSON round trip, is sorted again.
-All values are immutable; every operation returns a new object.
+A Poly built by `Poly._over` from a {position: nonzero int} row over a
+sequence of exponent vectors keeps that row, by reference, as a memo of
+its terms, and `row_over` hands a copy of it back to a caller that asks
+with the same sequence; no other builder keeps a memo, so any Poly
+derived from one carries none.
+All values are immutable; every operation returns a new object.  The
+memo only caches the terms, in another form, and never changes them.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
 text parsed, and `from_json` reads it back.
 """
@@ -186,7 +192,7 @@ def _summed(family, terms):
 class Poly:
     """Sparse polynomial over one variable family with exact rational coefficients."""
 
-    __slots__ = ("family", "_terms", "_ordered")
+    __slots__ = ("family", "_terms", "_ordered", "_row")
 
     def __init__(self, family, terms=()):
         if family not in _FAMILIES:
@@ -195,6 +201,7 @@ class Poly:
             self.family = family
             self._terms = terms.copy()
             self._ordered = False
+            self._row = None
             return
         collected = {}
         for ev, c in (terms.items() if isinstance(terms, dict) else terms):
@@ -210,6 +217,7 @@ class Poly:
         self.family = family
         self._terms = collected
         self._ordered = False
+        self._row = None
 
     # -- constructors ------------------------------------------------------
 
@@ -241,12 +249,42 @@ class Poly:
         poly.family = family
         poly._terms = terms
         poly._ordered = True
+        poly._row = None
         return poly
+
+    @classmethod
+    def _over(cls, family, exponents, row):
+        """The sum of c times exponents[j] over the items (j, c) of the
+        dict `row`.  When every j is an int in range(len(exponents)) and
+        every c a nonzero int, the Poly keeps `row`, by reference and
+        uncopied, as its memo over `exponents`: the caller hands it over
+        and changes it no more.  The term dict is built here from `row`,
+        one key per position (the exponent vectors are distinct), checked
+        by `_summed` and kept.  Any other dict is summed by `Poly` as pairs
+        and keeps no memo."""
+        if {int}.issuperset(map(type, row)) and min(row, default=0) >= 0:
+            terms = dict(zip(map(exponents.__getitem__, row), row.values()))
+            if len(terms) == len(row) and _summed(family, terms):
+                poly = object.__new__(cls)
+                poly.family = family
+                poly._terms = terms
+                poly._ordered = False
+                poly._row = (exponents, row)
+                return poly
+        return cls(family, [(exponents[j], c) for j, c in row.items()])
 
     # -- inspection --------------------------------------------------------
 
     def is_zero(self):
         return not self._terms
+
+    def row_over(self, exponents):
+        """A copy of the memo row of a Poly built by `_over` over this very
+        sequence (compared by identity), or None."""
+        memo = self._row
+        if memo is not None and memo[0] is exponents:
+            return memo[1].copy()
+        return None
 
     def terms(self):
         """Terms in canonical (graded, then leading-variable) order."""

@@ -204,7 +204,11 @@ class MonomialIndex:
     the integer-row computations work on these alone.  Every conversion
     between an a-polynomial of bidegree (n, g) and an integer row over
     these monomials goes through `row` and `poly`, whose exponent vectors
-    are built on first use.
+    are built on first use.  A Poly that `poly` builds from a
+    {position: nonzero int} dict keeps that dict as its row over this
+    index, and `row` reads a copy of it back, hashing no monomial, when
+    this same index asks; for any other Poly, or another index, `row`
+    looks every monomial up in `position`.
     """
 
     def __init__(self, n, g):
@@ -225,8 +229,12 @@ class MonomialIndex:
         """The nonzero coefficients of p as a {position: coefficient} dict.
 
         Raises ValueError, naming the monomial, when p has a term of
-        another bidegree.
+        another bidegree.  A Poly built by this index's `poly` from a row
+        dict gives a copy of that row, read without a lookup.
         """
+        memo = p.row_over(self.exponents)
+        if memo is not None:
+            return memo
         position = self.position
         try:
             return {position[ev]: c for ev, c in p.items()}
@@ -238,10 +246,15 @@ class MonomialIndex:
             ) from None
 
     def poly(self, coefficients):
-        """The sum of c times the monomial at position j over (j, c) pairs."""
+        """The sum of c times the monomial at position j, over a {j: c}
+        dict or (j, c) pairs.  A dict of nonzero ints is kept by the Poly,
+        uncopied, as its row over this index, which `row` reads back: the
+        caller hands it over and changes it no more."""
+        exponents = self.exponents
+        if type(coefficients) is dict:
+            return Poly._over("a", exponents, coefficients)
         # The full alpha rows of `potenziante` are mostly zeros; skipping
         # them here spares the constructor a hash of each.
-        exponents = self.exponents
         pairs = [(exponents[j], c) for j, c in coefficients if c]
         terms = dict(pairs)
         # distinct positions are distinct monomials: a dict of nonzero

@@ -24,7 +24,8 @@ from perpetuants import basis as basis_mod
 from perpetuants import linalg, symfunc
 from perpetuants.basis import in_span, invariant_rows, span_rank, span_ranks
 from perpetuants.symfunc import partition_counts, partitions, transition_alpha
-from perpetuants.umbral import lowering_matrix, monomial_index
+from perpetuants.perpetua import decomposable_span
+from perpetuants.umbral import MonomialIndex, lowering_matrix, monomial_index
 
 
 def a(i):
@@ -472,3 +473,132 @@ def test_in_span():
     assert in_span(p.scale(3), [p])
     assert not in_span(a(1) ** 2, [p])
     assert in_span(Poly.zero("a"), [])
+
+
+# ------------------------------------------------- rows kept by index-built polys
+
+
+def hashed_row(index, p):
+    """p's row over `index`, by a lookup of every monomial."""
+    return {index.position[ev]: c for ev, c in p.items()}
+
+
+def unmemoized(polys):
+    """Copies of polys built from their terms alone, which keep no row."""
+    return [Poly("a", dict(p.items())) for p in polys]
+
+
+ROW_CELLS = [(n, g) for n in range(3, 9) for g in (0, 2, 5, 8, 11)]
+
+
+@pytest.mark.parametrize("n,g", ROW_CELLS)
+def test_kept_rows_equal_the_hashed_rows(n, g):
+    index = monomial_index(n, g)
+    kernel = kernel_oracle(n, g)
+    groups = {
+        "kernel": kernel,
+        "kernel a0..a3": kernel_oracle(n, g, max_var=3),
+        "u_basis": [u.poly for u in u_basis(n, g)],
+        "decomposables": decomposable_span(n, g),
+    }
+    for name, polys in groups.items():
+        for p in polys:
+            assert p.row_over(index.exponents) is not None, name
+            assert index.row(p) == hashed_row(index, p), name
+        copies = unmemoized(polys)
+        assert all(p.row_over(index.exponents) is None for p in copies)
+        assert span_equal(kernel, polys) == span_equal(unmemoized(kernel), copies), name
+        for p, copy in zip(polys[:3], copies):
+            assert in_span(p, kernel) == in_span(copy, unmemoized(kernel)) == in_span(p, copies[::-1]), name
+            assert in_span(p, kernel)
+
+
+class NoLookups(dict):
+    """A position map that fails the test on any lookup."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"looked up {key}")
+
+    get = __contains__ = __getitem__
+
+
+def test_kernel_and_basis_are_ranked_without_a_monomial_lookup(monkeypatch):
+    kernel = kernel_oracle(5, 24)
+    ub = [u.poly for u in u_basis(5, 24)]
+    expected = span_equal(unmemoized(kernel), unmemoized(ub))
+    assert expected == (True, 42, 42, 42)
+    monkeypatch.setattr(monomial_index(5, 24), "position", NoLookups())
+    assert span_equal(kernel, ub) == expected
+    assert in_span(kernel[0], kernel)
+    assert in_span(ub[-1], kernel)
+    assert span_rank(kernel + ub) == 42
+
+
+def test_a_kept_row_cannot_be_changed_through_row():
+    index = monomial_index(5, 12)
+    kernel = kernel_oracle(5, 12)
+    p = kernel[1]
+    terms, expected = p.terms(), hashed_row(index, p)
+    row = index.row(p)
+    row[0] = 99
+    row.clear()
+    assert index.row(p) == expected
+    assert p.terms() == terms
+    assert span_rank(kernel) == len(kernel)
+    assert span_equal(kernel, unmemoized(kernel)) == (True,) + (len(kernel),) * 3
+
+
+def test_a_kept_row_is_read_by_its_own_index_only():
+    p = kernel_oracle(5, 12)[0]
+    with pytest.raises(ValueError, match=r"mixed bidegrees: .* is not of bidegree \(5, 11\)") as error:
+        monomial_index(5, 11).row(p)
+    named = Poly.parse(str(error.value).split(": ")[1].split(" is not")[0])
+    assert next(iter(named.exponents())) in p.exponents()
+    # an index of the same bidegree that did not build p looks every monomial up
+    other = MonomialIndex(5, 12)
+    assert p.row_over(other.exponents) is None
+    assert other.row(p) == hashed_row(other, p) == monomial_index(5, 12).row(p)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {0: 2, 2: 0},
+        {0: Fraction(4, 2), 1: Fraction(1, 2)},
+        {True: 1},
+        [(0, 2), (0, 3)],
+        [(0, 2), (1, -1)],
+    ],
+    ids=["zero", "fractions", "bool", "repeated-pairs", "pairs"],
+)
+def test_poly_keeps_no_row_of_what_it_sums(coefficients):
+    index = monomial_index(3, 3)
+    ev = index.exponents
+    items = coefficients.items() if isinstance(coefficients, dict) else coefficients
+    summed = Poly("a", [(ev[j], c) for j, c in items])
+    p = index.poly(coefficients)
+    assert p == summed
+    assert p.row_over(ev) is None
+    assert index.row(p) == hashed_row(index, p)
+
+
+def test_derived_polys_keep_no_row():
+    index = monomial_index(4, 8)
+    p = kernel_oracle(4, 8)[0]
+    assert p.row_over(index.exponents) is not None
+    derived = [
+        p + p,
+        p - p.scale(2),
+        -p,
+        p.scale(3),
+        3 * p,
+        p * Poly.constant("a", 1),
+        p.substitute(8, Poly.variable("a", 8)),
+        Poly.from_json(p.to_json()),
+        Poly.from_json_dict(p.to_json_dict()),
+        p.primitive_part(),
+    ]
+    for q in derived:
+        assert q.row_over(index.exponents) is None
+        assert q.is_zero() or index.row(q) == hashed_row(index, q)
+    assert Poly.from_json(p.to_json()) == p == -(-p)

@@ -8,9 +8,10 @@ import perpetuants
 
 SOURCES = sorted(Path(perpetuants.__file__).parent.glob("*.py"))
 
-# The builders' constructors of an already-sorted exponent vector and of a
-# Poly whose summed dict already runs in canonical order.
-EXEMPT = {("ExponentVector", "_of"), ("Poly", "_in_order")}
+# The builders' constructors of an already-sorted exponent vector, of a
+# Poly whose summed dict already runs in canonical order, and of a Poly that
+# keeps its row over a monomial index.
+EXEMPT = {("ExponentVector", "_of"), ("Poly", "_in_order"), ("Poly", "_over")}
 
 
 def _private(name):
@@ -60,15 +61,29 @@ def test_private_reads_are_found():
     assert private_reads(source) == [(2, "_entries"), (7, "linalg._echelon")]
 
 
-def test_only_the_expansion_builds_a_poly_in_order():
-    # a Poly built by Poly._in_order is read without a sort, so its one
-    # caller must be the builder whose dict is known to be canonical
+def callers_of(attr):
+    """(module, function) for each function of the package that reads
+    the attribute `attr` of any object."""
     callers = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         for function in ast.walk(tree):
             if isinstance(function, ast.FunctionDef):
                 for node in ast.walk(function):
-                    if isinstance(node, ast.Attribute) and node.attr == "_in_order":
+                    if isinstance(node, ast.Attribute) and node.attr == attr:
                         callers.append((path.name, function.name))
-    assert callers == [("symfunc.py", "_expand_forms")]
+    return callers
+
+
+def test_only_the_expansion_builds_a_poly_in_order():
+    # a Poly built by Poly._in_order is read without a sort, so its one
+    # caller must be the builder whose dict is known to be canonical
+    assert callers_of("_in_order") == [("symfunc.py", "_expand_forms")]
+
+
+def test_only_the_monomial_index_builds_a_poly_over_a_row():
+    # a Poly built by Poly._over hands its row back to the index whose
+    # exponent vectors it was built over, so its one caller is that
+    # index's builder, and only polycore sets or reads the memo slot
+    assert callers_of("_over") == [("umbral.py", "poly")]
+    assert {module for module, _ in callers_of("_row")} == {"polycore.py"}

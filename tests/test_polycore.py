@@ -297,6 +297,44 @@ def test_in_order_keeps_the_dict_it_is_given():
     assert p == Poly("L", list(terms.items()))
 
 
+def test_over_keeps_the_row_it_is_given_as_a_memo():
+    exponents = (ExponentVector({0: 2}), ExponentVector({1: 1, 0: 1}), ExponentVector({2: 1}))
+    row = {2: -1, 0: 3}
+    p = Poly._over("a", exponents, row)
+    assert p._row == (exponents, row) and p._row[1] is row
+    assert p == Poly("a", {exponents[2]: -1, exponents[0]: 3})
+    kept = p.row_over(exponents)
+    assert kept == row and kept is not row
+    # the memo is read only over that very sequence, not an equal one
+    assert p.row_over(tuple(exponents)) is not None
+    assert p.row_over(tuple(list(exponents))) is None
+    assert Poly._over("a", exponents, {}).row_over(exponents) == {}
+
+
+@pytest.mark.parametrize(
+    "exponents,row",
+    [
+        ((((0, 2),), ((1, 1),)), {0: 1, 1: 2}),
+        ((ExponentVector({1: 1}), ExponentVector({1: 1})), {0: 1, 1: 2}),
+        ((ExponentVector({1: 1}), ExponentVector({2: 1})), {0: 1, 1: 0}),
+        ((ExponentVector({1: 1}), ExponentVector({2: 1})), {0: 1, 1: Fraction(1, 2)}),
+    ],
+    ids=["plain-tuple-keys", "repeated-monomial", "zero", "fraction"],
+)
+def test_over_sums_and_keeps_no_memo_unless_the_row_is_clean(exponents, row):
+    items = [(exponents[j], c) for j, c in row.items()]
+    p = Poly._over("a", exponents, row)
+    assert p == Poly("a", items)
+    assert p._row is None and p.row_over(exponents) is None
+
+
+def test_over_keeps_no_memo_of_a_negative_position():
+    # exponents[-1] is the last vector, so a memo {-1: c} would name a
+    # position that the term dict does not hold
+    exponents = (ExponentVector({1: 1}), ExponentVector({2: 1}))
+    assert Poly._over("a", exponents, {-1: 1}).row_over(exponents) is None
+
+
 def test_missing_coefficient_is_int_zero():
     c = a(1).coefficient(ExponentVector({2: 1}))
     assert type(c) is int and c == 0
