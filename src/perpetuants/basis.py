@@ -34,8 +34,8 @@ class InvariantElement:
     @classmethod
     def from_alpha_row(cls, n, g, k, row):
         """U_(k2,...,kn) from the `invariant_rows` row paired with
-        k = (0, k2, ..., kn).  The polynomial keeps the row dict as its
-        row over `monomial_index(n, g)`, so the caller hands it over."""
+        k = (0, k2, ..., kn).  The polynomial keeps a copy of the row as
+        its row over `monomial_index(n, g)`."""
         return cls(k[1:], n, g, monomial_index(n, g).poly(row))
 
     def to_json_dict(self):
@@ -99,22 +99,20 @@ def kernel_oracle(n, g, max_var=None):
     elimination and pivots other than 1.  Independent of `u_basis` by
     construction.
 
-    Each vector's {position: entry} dict is handed to `MonomialIndex.poly`
-    as it is (renumbered to positions first with max_var), so the span
-    checks read it back by `MonomialIndex.row` without a lookup.
+    Each vector, renumbered to positions, is handed to
+    `MonomialIndex.poly` as a {position: entry} dict, so the span checks
+    read it back by `MonomialIndex.row` without a lookup.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     index = monomial_index(n, g)
-    if max_var is None:
-        vectors = linalg.nullspace(lowering_matrix(n, g), ncols=len(index.parts))
-    else:
-        source = [j for j, h in enumerate(index.parts) if max(h, default=0) <= max_var]
-        vectors = [
-            dict(zip(map(source.__getitem__, vec), vec.values()))
-            for vec in linalg.nullspace(lowering_matrix(n, g, source), ncols=len(source))
-        ]
-    return [index.poly(vec) for vec in vectors]
+    source = [
+        j
+        for j, h in enumerate(index.parts)
+        if max_var is None or max(h, default=0) <= max_var
+    ]
+    vectors = linalg.nullspace(lowering_matrix(n, g, source), ncols=len(source))
+    return [index.poly(dict(zip(map(source.__getitem__, vec), vec.values()))) for vec in vectors]
 
 
 @dataclass

@@ -23,8 +23,8 @@ already in that order, and the Poly keeps that dict, checked but not
 copied, and reads it as it is.  Any Poly derived from
 one, by arithmetic, substitution or a JSON round trip, is sorted again.
 A Poly built by `Poly._over` from a {position: nonzero int} row over a
-sequence of exponent vectors keeps that row, by reference, as a memo of
-its terms, and `row_over` hands a copy of it back to a caller that asks
+sequence of exponent vectors keeps a copy of that row as a memo of its
+terms, and `row_over` hands a copy of it back to a caller that asks
 with the same sequence; no other builder keeps a memo, so any Poly
 derived from one carries none.
 All values are immutable; every operation returns a new object.  The
@@ -256,9 +256,9 @@ class Poly:
     def _over(cls, family, exponents, row):
         """The sum of c times exponents[j] over the items (j, c) of the
         dict `row`.  When every j is an int in range(len(exponents)) and
-        every c a nonzero int, the Poly keeps `row`, by reference and
-        uncopied, as its memo over `exponents`: the caller hands it over
-        and changes it no more.  The term dict is built here from `row`,
+        every c a nonzero int, the Poly keeps a copy of `row` as its memo
+        over `exponents`, so a later change to `row` reaches neither the
+        terms nor the memo.  The term dict is built here from `row`,
         one key per position (the exponent vectors are distinct), checked
         by `_summed` and kept.  Any other dict is summed by `Poly` as pairs
         and keeps no memo."""
@@ -269,7 +269,7 @@ class Poly:
                 poly.family = family
                 poly._terms = terms
                 poly._ordered = False
-                poly._row = (exponents, row)
+                poly._row = (exponents, row.copy())
                 return poly
         return cls(family, [(exponents[j], c) for j, c in row.items()])
 

@@ -110,28 +110,49 @@ def partition_counts(max_part, min_part=1):
 
 
 @lru_cache(maxsize=None)
-def partitions_at_most(g, max_parts):
-    """Partitions of g with at most max_parts parts, reverse-lexicographic.
+def partition_parts(g, max_parts):
+    """The partitions of g with at most max_parts parts, each as the tuple
+    of its weakly decreasing positive parts, reverse-lexicographic.
 
-    Built once per (g, max_parts) and shared, hence a tuple.  The
-    generator yields weakly decreasing positive parts only, so they are
-    not checked again.
+    Built once per (g, max_parts) and shared, hence a tuple.  Each
+    partition after (g,) is the largest one below its predecessor: the
+    rightmost part that can drop by one does, and the parts after it are
+    refilled greedily with parts no larger, at most max_parts in all.
     """
     if g < 0:
         raise ValueError("negative weight")
+    if not g:
+        return ((),)
+    if max_parts < 1:
+        return ()
+    found, parts = [], [g]
+    while True:
+        found.append(tuple(parts))
+        # parts[i] drops to v, and rest, one more than the sum after it,
+        # must fit in the max_parts - i - 1 places left, none above v
+        rest, i = 0, len(parts)
+        while True:
+            i -= 1
+            if i < 0:
+                return tuple(found)
+            v = parts[i] - 1
+            rest += 1
+            if v and rest <= v * (max_parts - i - 1):
+                break
+            rest += v
+        q, r = divmod(rest, v)
+        parts[i:] = [v] * (q + 1) + [r] * (r > 0)
 
-    def rec(remaining, cap, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        # the largest of at most `slots` parts is at least remaining / slots
-        for first in range(min(cap, remaining), (remaining - 1) // slots, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
 
-    return tuple(map(Partition._of, rec(g, g, max_parts)))
+@lru_cache(maxsize=None)
+def partitions_at_most(g, max_parts):
+    """The `Partition`s of `partition_parts(g, max_parts)`, in its order.
+
+    Built once per (g, max_parts) and shared, hence a tuple.  The parts
+    are weakly decreasing and positive by construction, so they are not
+    checked again.
+    """
+    return tuple(map(Partition._of, partition_parts(g, max_parts)))
 
 
 def e_indices(n, g):

@@ -21,6 +21,7 @@ from .polycore import ExponentVector, Poly
 from .symfunc import (
     Partition,
     monomial_sum,
+    partition_parts,
     partitions_at_most,
     transition_alpha,
 )
@@ -196,7 +197,7 @@ def a_monomial_for(partition, n):
 
 class MonomialIndex:
     """The degree-n weight-g a-monomials, one per partition of g with at
-    most n parts, in `partitions_at_most` order (the row order of the
+    most n parts, in `partition_parts` order (the row order of the
     transition matrices).
 
     `parts[j]` is the partition of position j as a tuple of its nonzero
@@ -205,15 +206,15 @@ class MonomialIndex:
     between an a-polynomial of bidegree (n, g) and an integer row over
     these monomials goes through `row` and `poly`, whose exponent vectors
     are built on first use.  A Poly that `poly` builds from a
-    {position: nonzero int} dict keeps that dict as its row over this
-    index, and `row` reads a copy of it back, hashing no monomial, when
-    this same index asks; for any other Poly, or another index, `row`
-    looks every monomial up in `position`.
+    {position: nonzero int} dict keeps a copy of that dict as its row
+    over this index, and `row` reads a copy of it back, hashing no
+    monomial, when this same index asks; for any other Poly, or another
+    index, `row` looks every monomial up in `position`.
     """
 
     def __init__(self, n, g):
         self.bidegree = (n, g)
-        self.parts = tuple(h.parts for h in partitions_at_most(g, n))
+        self.parts = partition_parts(g, n)
         self.parts_position = {h: j for j, h in enumerate(self.parts)}
 
     @cached_property
@@ -247,9 +248,8 @@ class MonomialIndex:
 
     def poly(self, coefficients):
         """The sum of c times the monomial at position j, over a {j: c}
-        dict or (j, c) pairs.  A dict of nonzero ints is kept by the Poly,
-        uncopied, as its row over this index, which `row` reads back: the
-        caller hands it over and changes it no more."""
+        dict or (j, c) pairs.  The Poly keeps a copy of a dict of nonzero
+        ints as its row over this index, which `row` reads back."""
         exponents = self.exponents
         if type(coefficients) is dict:
             return Poly._over("a", exponents, coefficients)

@@ -548,6 +548,25 @@ def test_a_kept_row_cannot_be_changed_through_row():
     assert span_equal(kernel, unmemoized(kernel)) == (True,) + (len(kernel),) * 3
 
 
+def test_a_row_handed_to_poly_stays_the_callers():
+    # changing the dict after the Poly is built reaches neither its terms
+    # nor the row its index reads, so ranks stay right
+    index = monomial_index(5, 12)
+    (k, row), *_ = invariant_rows(5, 12)
+    u = basis_mod.InvariantElement.from_alpha_row(5, 12, k, row)
+    kernel = kernel_oracle(5, 12)
+    given = dict(hashed_row(index, kernel[0]))
+    p = index.poly(given)
+    terms, u_terms, u_row = p.terms(), u.poly.terms(), dict(row)
+    given.clear()
+    given[0] = 1
+    row.clear()
+    assert p.terms() == terms and index.row(p) == hashed_row(index, p)
+    assert u.poly.terms() == u_terms and index.row(u.poly) == u_row
+    assert in_span(p, kernel) and in_span(u.poly, kernel)
+    assert span_equal([p], kernel[:1]) == (True, 1, 1, 1)
+
+
 def test_a_kept_row_is_read_by_its_own_index_only():
     p = kernel_oracle(5, 12)[0]
     with pytest.raises(ValueError, match=r"mixed bidegrees: .* is not of bidegree \(5, 11\)") as error:

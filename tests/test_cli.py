@@ -229,7 +229,7 @@ def test_large_cell_fails_fast_with_its_size(monkeypatch, argv, cell):
         monkeypatch.setattr(basis_mod, name, compute)
     for name in ("perpetuant_basis", "verify_complement"):
         monkeypatch.setattr(perpetua, name, compute)
-    for name in ("transition_alpha", "transition_beta", "partitions_at_most"):
+    for name in ("transition_alpha", "transition_beta", "partitions_at_most", "partition_parts"):
         monkeypatch.setattr(symfunc, name, compute)
     code, out, err = call(*argv.split())
     assert code == 2

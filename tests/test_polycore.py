@@ -297,14 +297,20 @@ def test_in_order_keeps_the_dict_it_is_given():
     assert p == Poly("L", list(terms.items()))
 
 
-def test_over_keeps_the_row_it_is_given_as_a_memo():
+def test_over_keeps_a_copy_of_the_row_as_a_memo():
     exponents = (ExponentVector({0: 2}), ExponentVector({1: 1, 0: 1}), ExponentVector({2: 1}))
     row = {2: -1, 0: 3}
     p = Poly._over("a", exponents, row)
-    assert p._row == (exponents, row) and p._row[1] is row
+    assert p._row == (exponents, row) and p._row[1] is not row
     assert p == Poly("a", {exponents[2]: -1, exponents[0]: 3})
     kept = p.row_over(exponents)
     assert kept == row and kept is not row
+    # the caller's dict stays the caller's: changing it reaches neither
+    # the memo nor the terms
+    row[1] = 5
+    del row[2]
+    assert p.row_over(exponents) == {2: -1, 0: 3}
+    assert p == Poly("a", {exponents[2]: -1, exponents[0]: 3})
     # the memo is read only over that very sequence, not an equal one
     assert p.row_over(tuple(list(exponents))) is None
     assert Poly._over("a", exponents, {}).row_over(exponents) == {}

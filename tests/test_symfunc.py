@@ -34,7 +34,7 @@ from perpetuants import (
     transition_beta,
 )
 from perpetuants import polycore, symfunc
-from perpetuants.symfunc import e_indices, elementary
+from perpetuants.symfunc import e_indices, elementary, partition_parts
 
 
 def L(i):
@@ -80,6 +80,20 @@ def test_partitions_at_most_counts():
     # partitions of 6 with at most 3 parts
     got = [p.parts for p in partitions_at_most(6, 3)]
     assert got == [(6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2)]
+
+
+def test_partition_parts_equal_the_recursive_partitions():
+    # the iterative refill gives the reverse-lexicographic list of
+    # `partitions`, kept to at most max_parts parts, for every max_parts
+    for n in range(0, 11):
+        for g in range(26):
+            got = partition_parts(g, n)
+            assert type(got) is tuple and all(type(h) is tuple for h in got)
+            assert got == tuple(p.parts for p in partitions(g, g) if len(p) <= n)
+            assert tuple(p.parts for p in partitions_at_most(g, n)) == got
+    assert partition_parts(0, 0) == ((),) and partition_parts(3, 0) == ()
+    with pytest.raises(ValueError, match="negative weight"):
+        partition_parts(-1, 3)
 
 
 def test_partitions_at_most_equal_the_validated_partitions():
