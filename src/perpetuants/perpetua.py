@@ -19,12 +19,7 @@ from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .linalg import row_ranks
 from .polycore import ExponentVector, Poly
-from .symfunc import (
-    e_indices,
-    q_n_leading_monomial,
-    reduced_e_leading_monomial,
-    transition_alpha,
-)
+from .symfunc import e_indices, q_n_leading_monomial, reduced_e_leading_monomial
 from .umbral import lowering_matrix, monomial_index
 
 
@@ -109,10 +104,9 @@ def perpetuant_basis(n, g):
         raise ValueError(
             "n <= 2 is special: use degree2_perpetuant, or a_0 for n = 1"
         )
-    return [
-        InvariantElement.from_alpha_row(n, g, k, row)
-        for k, row in _alpha_rows(n, g, _selected_indices(n, g))
-    ]
+    chosen = set(_selected_indices(n, g))
+    rows = invariant_rows(n, g) if chosen else []
+    return [InvariantElement.from_alpha_row(n, g, k, row) for k, row in rows if k in chosen]
 
 
 def _chosen_indices(n, g, t):
@@ -128,23 +122,6 @@ def _selected_indices(n, g):
     if n - 1 >= (g + 1).bit_length():
         return []
     return _chosen_indices(n, g, threshold(n))
-
-
-def _alpha_rows(n, g, indices):
-    """(k, row) for each e-index k of `indices` in the column order of
-    alpha(n, g), with row the {position: coefficient} dict of the nonzero
-    entries of alpha's row k over `monomial_index(n, g)`.  Only these rows
-    become dicts, and alpha(n, g) is built only when `indices` is not
-    empty."""
-    wanted = set(indices)
-    if not wanted:
-        return []
-    alpha = transition_alpha(n, g)
-    return [
-        (k, {j: x for j, x in enumerate(row) if x})
-        for k, row in zip(alpha.cols, alpha.entries)
-        if k in wanted
-    ]
 
 
 def degree2_perpetuant(g):
@@ -284,7 +261,8 @@ def verify_complement(n, g):
         dim_dec = dim S_{n-1,g} + rank(products),
         rank(dec + selected) = dim S_{n-1,g} + rank(products + selected'),
 
-    with selected' the alpha(n, g - n) rows k - eps_n of the selected k.
+    with selected' the `invariant_rows(n, g - n)` rows k - eps_n of the
+    selected k, read only when some k is selected.
     Every dimension of S is a `_kernel_dim`, and total = dim S_{n-1,g} +
     dim S_{n,g-n} is checked on every call.  When g < n every monomial
     holds a_0: there is no quotient, and no alpha and no product is built.
@@ -298,8 +276,8 @@ def verify_complement(n, g):
     if g >= n:
         upper = _kernel_dim(n, g - n)
         # the threshold's last entry is 1, so every chosen k has k_n >= 1
-        lowered = [k[:-1] + (k[-1] - 1,) for k in chosen]
-        perp = [row for _, row in _alpha_rows(n, g - n, lowered)]
+        lowered = {k[:-1] + (k[-1] - 1,) for k in chosen}
+        perp = [row for k, row in invariant_rows(n, g - n) if k in lowered] if chosen else []
         dec_rank, union_rank = row_ranks(
             _products(n, g - n, 2), perp, ncols=len(monomial_index(n, g - n).parts)
         )

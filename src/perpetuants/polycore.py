@@ -198,26 +198,28 @@ class Poly:
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if type(terms) is dict and _summed(family, terms):
-            self.family = family
-            self._terms = terms.copy()
-            self._ordered = False
-            self._row = None
-            return
-        collected = {}
-        for ev, c in (terms.items() if isinstance(terms, dict) else terms):
-            if not isinstance(ev, ExponentVector):
-                ev = ExponentVector(ev)
-            if family == "L" and ev and ev[0][0] == 0:
-                raise ValueError("L-variables are indexed from 1")
-            c = _exact(_exact(c) + collected.get(ev, 0))
-            if c:
-                collected[ev] = c
-            elif ev in collected:
-                del collected[ev]
+            collected = terms.copy()
+        else:
+            collected = {}
+            for ev, c in (terms.items() if isinstance(terms, dict) else terms):
+                if not isinstance(ev, ExponentVector):
+                    ev = ExponentVector(ev)
+                if family == "L" and ev and ev[0][0] == 0:
+                    raise ValueError("L-variables are indexed from 1")
+                c = _exact(_exact(c) + collected.get(ev, 0))
+                if c:
+                    collected[ev] = c
+                elif ev in collected:
+                    del collected[ev]
+        self._fill(family, collected)
+
+    def _fill(self, family, terms, ordered=False, row=None):
+        """Set the four slots, the one place any builder does; returns self."""
         self.family = family
-        self._terms = collected
-        self._ordered = False
-        self._row = None
+        self._terms = terms
+        self._ordered = ordered
+        self._row = row
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -245,32 +247,25 @@ class Poly:
         hands it over and holds it no longer."""
         if family not in _FAMILIES or type(terms) is not dict or not _summed(family, terms):
             raise ValueError(f"not a summed {family!r} term dict")
-        poly = object.__new__(cls)
-        poly.family = family
-        poly._terms = terms
-        poly._ordered = True
-        poly._row = None
-        return poly
+        return object.__new__(cls)._fill(family, terms, ordered=True)
 
     @classmethod
     def _over(cls, family, exponents, row):
         """The sum of c times exponents[j] over the items (j, c) of the
-        dict `row`.  When every j is an int in range(len(exponents)) and
-        every c a nonzero int, the Poly keeps a copy of `row` as its memo
-        over `exponents`, so a later change to `row` reaches neither the
-        terms nor the memo.  The term dict is built here from `row`,
-        one key per position (the exponent vectors are distinct), checked
-        by `_summed` and kept.  Any other dict is summed by `Poly` as pairs
-        and keeps no memo."""
-        if {int}.issuperset(map(type, row)) and min(row, default=0) >= 0:
+        dict `row`.  When every j is an int, it must lie in
+        range(len(exponents)), or IndexError is raised; when, too, every c
+        is a nonzero int, the Poly keeps a copy of `row` as its memo over
+        `exponents`, so a later change to `row` reaches neither the terms
+        nor the memo.  The term dict is built here from `row`, one key per
+        position (the exponent vectors are distinct), checked by `_summed`
+        and kept.  Any other dict is summed by `Poly` as pairs and keeps no
+        memo."""
+        if {int}.issuperset(map(type, row)):
+            if min(row, default=0) < 0:
+                raise IndexError(f"negative position {min(row)}")
             terms = dict(zip(map(exponents.__getitem__, row), row.values()))
             if len(terms) == len(row) and _summed(family, terms):
-                poly = object.__new__(cls)
-                poly.family = family
-                poly._terms = terms
-                poly._ordered = False
-                poly._row = (exponents, row.copy())
-                return poly
+                return object.__new__(cls)._fill(family, terms, row=(exponents, row.copy()))
         return cls(family, [(exponents[j], c) for j, c in row.items()])
 
     # -- inspection --------------------------------------------------------

@@ -145,6 +145,13 @@ def partition_parts(g, max_parts):
 
 
 @lru_cache(maxsize=None)
+def partition_positions(g, max_parts):
+    """The one {parts: position} map of `partition_parts(g, max_parts)`,
+    built once per (g, max_parts) and shared: never changed."""
+    return {parts: j for j, parts in enumerate(partition_parts(g, max_parts))}
+
+
+@lru_cache(maxsize=None)
 def partitions_at_most(g, max_parts):
     """The `Partition`s of `partition_parts(g, max_parts)`, in its order.
 
@@ -163,8 +170,8 @@ def e_indices(n, g):
     and the order is reverse-lexicographic on that induced partition.
     """
     out = []
-    for h in partitions_at_most(g, n):
-        padded = h.padded(n) + (0,)
+    for h in partition_parts(g, n):
+        padded = h + (0,) * (n + 1 - len(h))
         out.append(tuple(padded[j] - padded[j + 1] for j in range(n)))
     return out
 
@@ -249,13 +256,14 @@ def _pieri_table(n, g, i):
 
     By the Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
     I.6), c counts the i-subsets S of the places of h with sort(h - 1_S) =
-    mu, so each h is lowered once.
+    mu, so each h is lowered once.  Returned with `partition_positions(g -
+    i, n)`, the positions of the mu.
     """
-    position = {p.parts: j for j, p in enumerate(partitions_at_most(g - i, n))}
+    position = partition_positions(g - i, n)
     table = [{} for _ in position]
-    for j, h in enumerate(partitions_at_most(g, n)):
+    for j, h in enumerate(partition_parts(g, n)):
         for S in combinations(range(len(h)), i):
-            left = list(h.parts)
+            left = list(h)
             for s in S:
                 left[s] -= 1
             expansion = table[position[tuple(sorted(filter(None, left), reverse=True))]]
@@ -280,8 +288,8 @@ def _entries(n, g, direction):
     """
     if g == 0:
         return [[1]]
-    rows = partitions_at_most(g, n)
-    position = {p.parts: j for j, p in enumerate(rows)}
+    rows = partition_parts(g, n)
+    position = partition_positions(g, n)
     steps = {}
     for i in range(1, min(n, g) + 1):
         table, lower = _pieri_table(n, g, i)
@@ -302,7 +310,7 @@ def _entries(n, g, direction):
     cols = [None] * len(rows)
     for j in reversed(range(len(rows))):
         table, lower, raised, smaller = steps[len(rows[j])]
-        parent = lower[tuple(p - 1 for p in rows[j].parts if p > 1)]
+        parent = lower[tuple(p - 1 for p in rows[j] if p > 1)]
         col = [0] * len(rows)
         if direction == "beta":
             for b, expansion in zip((row[parent] for row in smaller), table):
@@ -315,7 +323,7 @@ def _entries(n, g, direction):
             expansion = table[parent]
             if expansion.get(j) != 1 or min(expansion) < j:
                 raise AssertionError(
-                    f"the ({n},{g}) Pieri step does not lead with m_h at h = {rows[j]}"
+                    f"the ({n},{g}) Pieri step does not lead with m_h at h = {Partition(rows[j])}"
                 )
             for mu, c in expansion.items():
                 if mu != j:
@@ -323,7 +331,8 @@ def _entries(n, g, direction):
                     col[mu:] = [a - c * b for a, b in zip(col[mu:], cols[mu][mu:])]
         if any(col[:j]):
             raise AssertionError(
-                f"the ({n},{g}) {direction} column at h = {rows[j]} is not zero above its row"
+                f"the ({n},{g}) {direction} column at h = {Partition(rows[j])} is not zero "
+                "above its row"
             )
         cols[j] = col
     return [list(row) for row in zip(*cols)]

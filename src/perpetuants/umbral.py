@@ -22,6 +22,7 @@ from .symfunc import (
     Partition,
     monomial_sum,
     partition_parts,
+    partition_positions,
     partitions_at_most,
     transition_alpha,
 )
@@ -201,11 +202,11 @@ class MonomialIndex:
     transition matrices).
 
     `parts[j]` is the partition of position j as a tuple of its nonzero
-    parts, and `parts_position` maps such a tuple back to its position;
-    the integer-row computations work on these alone.  Every conversion
-    between an a-polynomial of bidegree (n, g) and an integer row over
-    these monomials goes through `row` and `poly`, whose exponent vectors
-    are built on first use.  A Poly that `poly` builds from a
+    parts, and `parts_position` is `partition_positions(g, n)`, the shared
+    map of such a tuple back to its position; the integer-row computations
+    work on these alone.  Every conversion between an a-polynomial of
+    bidegree (n, g) and an integer row over these monomials goes through
+    `row` and `poly`, whose exponent vectors are built on first use.  A Poly that `poly` builds from a
     {position: nonzero int} dict keeps a copy of that dict as its row
     over this index, and `row` reads a copy of it back, hashing no
     monomial, when this same index asks; for any other Poly, or another
@@ -215,7 +216,7 @@ class MonomialIndex:
     def __init__(self, n, g):
         self.bidegree = (n, g)
         self.parts = partition_parts(g, n)
-        self.parts_position = {h: j for j, h in enumerate(self.parts)}
+        self.parts_position = partition_positions(g, n)
 
     @cached_property
     def exponents(self):
@@ -248,18 +249,28 @@ class MonomialIndex:
 
     def poly(self, coefficients):
         """The sum of c times the monomial at position j, over a {j: c}
-        dict or (j, c) pairs.  The Poly keeps a copy of a dict of nonzero
-        ints as its row over this index, which `row` reads back."""
+        dict or (j, c) pairs.  An int position outside the index raises
+        ValueError.  The Poly keeps a copy of a dict of nonzero ints as
+        its row over this index, which `row` reads back."""
         exponents = self.exponents
-        if type(coefficients) is dict:
+        if type(coefficients) is not dict:
+            return Poly("a", [(exponents[self._inside(j)], c) for j, c in coefficients])
+        try:
             return Poly._over("a", exponents, coefficients)
-        # The full alpha rows of `potenziante` are mostly zeros; skipping
-        # them here spares the constructor a hash of each.
-        pairs = [(exponents[j], c) for j, c in coefficients if c]
-        terms = dict(pairs)
-        # distinct positions are distinct monomials: a dict of nonzero
-        # ints is taken as it is, any other input is summed pair by pair
-        return Poly("a", terms if len(terms) == len(pairs) else pairs)
+        except IndexError:
+            # every position is an int, and the least or the greatest is outside
+            self._inside(min(coefficients))
+            self._inside(max(coefficients))
+            raise
+
+    def _inside(self, j):
+        """j, or ValueError when j is an int outside the index."""
+        if type(j) is int and not 0 <= j < len(self.parts):
+            raise ValueError(
+                f"position {j} is outside the {len(self.parts)} monomials of "
+                f"bidegree {self.bidegree}"
+            )
+        return j
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +359,10 @@ def potenziante(n, g):
     rows = [(h, monomial_sum(h, n), a_monomial_for(h, n)) for h in parts]
     alpha = transition_alpha(n, g)
     index = monomial_index(n, g)
-    e_rows = [(k, index.poly(enumerate(row))) for k, row in zip(alpha.cols, alpha.entries)]
+    e_rows = [
+        (k, index.poly({j: x for j, x in enumerate(row) if x}))
+        for k, row in zip(alpha.cols, alpha.entries)
+    ]
     return PotenziantExpansion(n, g, rows, e_rows)
 
 

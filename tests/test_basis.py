@@ -445,6 +445,35 @@ def test_monomial_index_poly_sums_repeated_positions():
     assert half == Poly("a", {ev[1]: 1}) and type(half.coefficient(ev[1])) is int
 
 
+@pytest.mark.parametrize(
+    "coefficients,position",
+    [
+        ({-1: 1}, -1),
+        ({0: 1, -3: 2}, -3),
+        ({3: 1}, 3),
+        ({0: 0, 7: 1}, 7),
+        ([(-1, 1)], -1),
+        ([(0, 1), (3, 2)], 3),
+    ],
+    ids=["dict-negative", "dict-negative-among", "dict-past-end", "dict-zero-and-past-end",
+         "pairs-negative", "pairs-past-end"],
+)
+def test_monomial_index_poly_refuses_a_position_outside_it(coefficients, position):
+    # a negative position would wrap to the end of the index
+    with pytest.raises(ValueError, match=rf"^position {position} is outside the 3 monomials "
+                       r"of bidegree \(3, 3\)$"):
+        monomial_index(3, 3).poly(coefficients)
+
+
+def test_monomial_index_reads_the_one_partition_position_map():
+    for n in range(8):
+        for g in range(16):
+            position = symfunc.partition_positions(g, n)
+            assert monomial_index(n, g).parts_position is position
+            assert list(position) == list(symfunc.partition_parts(g, n))
+            assert list(position.values()) == list(range(len(position)))
+
+
 def test_row_ranks_take_sparse_rows():
     assert basis_mod.row_ranks([{1: 1}], [{0: 1}], ncols=2) == [1, 2]
     assert basis_mod.row_ranks([{1: 1}], [{0: 1, 1: 0}], [{0: 2, 1: 3}], ncols=2) == [1, 2, 2]

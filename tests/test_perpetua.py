@@ -285,7 +285,6 @@ def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     _start_cold()
     monkeypatch.setattr(perpetua, "threshold", refuse_threshold)
     monkeypatch.setattr(basis_mod, "transition_alpha", alpha_below_degree_5)
-    monkeypatch.setattr(perpetua, "transition_alpha", alpha_below_degree_5)
     cert = verify_complement(5, 14)
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
     assert perpetuant_basis(5, 14) == []
@@ -360,10 +359,12 @@ def test_a0_quotient_of_each_u_k_is_the_raised_lower_u(n, gmax):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_chosen_alpha_rows_are_the_chosen_invariant_rows(n):
+    # the perpetuant basis is the threshold filter of the invariant rows
+    t = threshold(n)
     for g in range(25):
-        chosen = perpetua._chosen_indices(n, g, threshold(n))
-        expected = [(k, row) for k, row in invariant_rows(n, g) if k in chosen]
-        assert perpetua._alpha_rows(n, g, chosen) == expected
+        index = monomial_index(n, g)
+        expected = [(k[1:], row) for k, row in invariant_rows(n, g) if t.dominates(k[1:])]
+        assert [(u.k, index.row(u.poly)) for u in perpetuant_basis(n, g)] == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -386,9 +387,16 @@ def test_a_selected_row_in_the_product_span_fails(monkeypatch):
     # the selected U_k of (4,12) read as a quotient product lies in the
     # decomposable span, so the union falls one short
     product = perpetua._products(4, 8, 2)[0]
-    monkeypatch.setattr(
-        perpetua, "_alpha_rows", lambda n, g, indices: [(k, product) for k in indices]
-    )
+    (chosen,) = perpetua._selected_indices(4, 12)
+    lowered = chosen[:-1] + (chosen[-1] - 1,)
+    true_rows = perpetua.invariant_rows
+
+    def with_product(n, g):
+        # only the lowered row of (4,8) is replaced; the factor cells that
+        # _products reads keep their true rows
+        return [(k, product if (n, g, k) == (4, 8, lowered) else row) for k, row in true_rows(n, g)]
+
+    monkeypatch.setattr(perpetua, "invariant_rows", with_product)
     cert = verify_complement(4, 12)
     assert not cert.direct_sum_ok
     assert (cert.dim_perpetuant, cert.stroh_coefficient) == (1, 1)

@@ -335,9 +335,12 @@ def test_over_sums_and_keeps_no_memo_unless_the_row_is_clean(exponents, row):
 
 def test_over_keeps_no_memo_of_a_negative_position():
     # exponents[-1] is the last vector, so a memo {-1: c} would name a
-    # position that the term dict does not hold
+    # position that the term dict does not hold: an int position outside
+    # the sequence builds no Poly at all
     exponents = (ExponentVector({1: 1}), ExponentVector({2: 1}))
-    assert Poly._over("a", exponents, {-1: 1}).row_over(exponents) is None
+    for row in ({-1: 1}, {0: 1, -2: 1}, {2: 1}, {0: 0, 5: 1}):
+        with pytest.raises(IndexError):
+            Poly._over("a", exponents, row)
 
 
 def test_missing_coefficient_is_int_zero():
