@@ -256,8 +256,8 @@ def _pieri_table(n, g, i):
 
     By the Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
     I.6), c counts the i-subsets S of the places of h with sort(h - 1_S) =
-    mu, so each h is lowered once.  Returned with `partition_positions(g -
-    i, n)`, the positions of the mu.
+    mu, so each h is lowered once.  Returned with the positions of the mu,
+    `partition_positions(g - i, n)`.
     """
     position = partition_positions(g - i, n)
     table = [{} for _ in position]

@@ -206,11 +206,12 @@ class MonomialIndex:
     map of such a tuple back to its position; the integer-row computations
     work on these alone.  Every conversion between an a-polynomial of
     bidegree (n, g) and an integer row over these monomials goes through
-    `row` and `poly`, whose exponent vectors are built on first use.  A Poly that `poly` builds from a
-    {position: nonzero int} dict keeps a copy of that dict as its row
-    over this index, and `row` reads a copy of it back, hashing no
-    monomial, when this same index asks; for any other Poly, or another
-    index, `row` looks every monomial up in `position`.
+    `row` and `poly`, whose exponent vectors are built on first use.  A
+    Poly that `poly` builds from a {position: nonzero int} dict keeps a
+    copy of that dict as its row over this index, and `row` reads a copy
+    of it back, hashing no monomial, when this same index asks; for any
+    other Poly, or another index, `row` looks every monomial up in
+    `position`.
     """
 
     def __init__(self, n, g):
