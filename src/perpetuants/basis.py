@@ -9,17 +9,15 @@ force linear algebra.  Their agreement is checked, not assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import linalg
 from .linalg import row_ranks
-from .polycore import FamilyMismatchError, Poly
+from .polycore import FamilyMismatchError, Poly, Record
 from .symfunc import partition_counts, transition_alpha
 from .umbral import lowering_matrix, monomial_index
 
 
-@dataclass
-class InvariantElement:
+class InvariantElement(Record):
     """U_{k2,...,kn}: a basis U-invariant with its e-monomial index.
 
     The polynomial is the exact integer output of the alpha transition
@@ -115,8 +113,7 @@ def kernel_oracle(n, g, max_var=None):
     return [index.poly(dict(zip(map(source.__getitem__, vec), vec.values()))) for vec in vectors]
 
 
-@dataclass
-class DimensionSeries:
+class DimensionSeries(Record):
     """Coefficients of 1/((1-x^2)...(1-x^n)) up to a weight bound."""
 
     n: int

@@ -5,17 +5,15 @@ including the decomposability of the discriminant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .basis import in_span, kernel_oracle
 from .perpetua import decomposable_span
-from .polycore import ExponentVector, Poly
+from .polycore import ExponentVector, Poly, Record
 
 
-@dataclass(frozen=True)
-class CovariantProfile:
+class CovariantProfile(Record, frozen=True):
     """Degree k, weight g and order p = n*k - 2*g of a covariant source."""
 
     n: int
@@ -124,8 +122,7 @@ def verify_s4():
     return verify_b(), verify_c()
 
 
-@dataclass
-class MembershipReport:
+class MembershipReport(Record):
     """Decomposability of the cubic discriminant, degree 4 vs degree 3."""
 
     identity_holds: bool  # D = 6 c2 B + a0 C exactly

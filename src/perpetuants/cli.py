@@ -175,11 +175,22 @@ def _too_large(n, g, err, indexed=False):
     return False
 
 
-def run(argv, out=sys.stdout, err=sys.stderr):
+def run(argv, out=None, err=None):
+    """Run one command; its output goes to `out` and its messages to
+    `err`, by default the process's stdout and stderr at the time of the
+    call.  Returns the exit code."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
+    # argparse writes --help to sys.stdout and usage errors to sys.stderr,
+    # so both are pointed at the given streams while it parses
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    finally:
+        sys.stdout, sys.stderr = streams
 
     for flag in ("g", "gmax"):
         value = getattr(args, flag, None)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
@@ -18,7 +17,7 @@ from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 # No caller here; perfbench's binding-site test wraps these names in this module.
 from .basis import kernel_oracle, span_rank, u_basis  # noqa: F401
 from .linalg import row_ranks
-from .polycore import ExponentVector, Poly
+from .polycore import ExponentVector, Poly, Record
 from .symfunc import e_indices, q_n_leading_monomial, reduced_e_leading_monomial
 from .umbral import lowering_matrix, monomial_index
 
@@ -49,8 +48,7 @@ def stroh_series(n, g_max):
     return DimensionSeries(n, coeffs)
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
+class ThresholdVector(Record, frozen=True):
     """The componentwise threshold on (k2,...,kn) selecting perpetuants."""
 
     n: int
@@ -194,8 +192,7 @@ def _products(n, g, low):
     return out
 
 
-@dataclass
-class ComplementCertificate:
+class ComplementCertificate(Record):
     n: int
     g: int
     dim_total: int

@@ -31,6 +31,9 @@ All values are immutable; every operation returns a new object.  The
 memo only caches the terms, in another form, and never changes them.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
 text parsed, and `from_json` reads it back.
+`Record`, the lowest layer's other export, is the base class of the
+package's value objects (partitions, thresholds, certificates, reports),
+which declare their fields as annotations; no module uses `@dataclass`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,63 @@ class BiDegreeError(ValueError):
         super().__init__(message)
         self.first = first
         self.second = second
+
+
+class Record:
+    """Base of the package's value objects, in place of `@dataclass`.
+
+    A subclass's fields are the names annotated in its own body, in order.
+    It is built from them by position or by keyword, after which its
+    `__post_init__`, if it has one, runs; it equals an instance of the
+    same class with equal fields and reads back as `Name(field=value, ...)`.
+    `class Name(Record, frozen=True)` also hashes by its fields and raises
+    `AttributeError` on assignment; any other subclass has no hash.
+    (The decorator's module imports `inspect` and `ast`, and it writes each
+    class's methods with `exec`: more than half of the package's import
+    time went to it.)
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse_assignment
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        try:
+            values = args + tuple(map(kwargs.pop, names[len(args):]))
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__}() missing field {missing}") from None
+        if len(values) > len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(zip(names, values))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _refuse_assignment(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
 
 
 class ExponentVector(tuple):

@@ -12,16 +12,14 @@ import json
 import sys
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count, permutations, product
 from math import comb, log2, prod
 
-from .polycore import ExponentVector, Poly
+from .polycore import ExponentVector, Poly, Record
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record, frozen=True):
     """Weakly decreasing tuple of positive integers."""
 
     parts: tuple
@@ -220,8 +218,7 @@ def e_monomial(k, n):
     return _e_monomial_cached(tuple(k), n)
 
 
-@dataclass
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Exact integer change of basis between m_h and e-monomials.
 
     direction "beta": column k holds the expansion of e^k in the m-basis.

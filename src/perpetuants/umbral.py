@@ -11,13 +11,12 @@ expansion used by the potenziante has all coefficients equal to 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, factorial
 
-from .polycore import ExponentVector, Poly
+from .polycore import ExponentVector, Poly, Record
 from .symfunc import (
     Partition,
     monomial_sum,
@@ -36,8 +35,7 @@ def _exponents(r):
     return tuple(map(int, r))
 
 
-@dataclass(frozen=True)
-class UmbralMonomial:
+class UmbralMonomial(Record, frozen=True):
     """Divided-power exponents (r1,...,rn) of the n umbrae."""
 
     r: tuple
@@ -315,8 +313,7 @@ def lowering_matrix(n, g, source=None):
     return matrix
 
 
-@dataclass
-class PotenziantExpansion:
+class PotenziantExpansion(Record):
     """The pairing of symmetric functions with degree-n weight-g a-polynomials.
 
     rows: one (partition h, m_h as an L-polynomial, a-monomial) triple per
