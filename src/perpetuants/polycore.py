@@ -31,9 +31,9 @@ All values are immutable; every operation returns a new object.  The
 memo only caches the terms, in another form, and never changes them.
 `Poly.to_json` is the one writer of the JSON schema: `to_json_dict` is its
 text parsed, and `from_json` reads it back.
-`Record`, the lowest layer's other export, is the base class of the
-package's value objects (partitions, thresholds, certificates, reports),
-which declare their fields as annotations; no module uses `@dataclass`.
+`Record` is the base class of the package's value objects (partitions,
+thresholds, certificates, reports), which declare their fields as
+annotations; no module uses `@dataclass`.
 """
 
 from __future__ import annotations

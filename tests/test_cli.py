@@ -1,5 +1,6 @@
 """Command line interface: subcommands, output formats and exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -523,6 +524,27 @@ def test_oracle_json():
 def test_unknown_subcommand_is_usage_error():
     code, _, _ = call("frobnicate")
     assert code == 2
+
+
+def test_default_streams_are_read_at_call_time():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(["dims", "3", "--gmax", "2"])
+    assert (code, buf.getvalue()) == (0, "0\t1\n1\t0\n2\t1\n")
+
+
+def test_usage_errors_and_help_go_to_the_given_streams(capsys):
+    streams = sys.stdout, sys.stderr
+    code, out, err = call("verify", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: perpetuants verify ")
+    assert "invalid int value: 'x'" in err
+    code, out, err = call("verify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: perpetuants verify ")
+    # nothing reached the process streams, and they are restored
+    assert capsys.readouterr() == ("", "")
+    assert sys.stdout is streams[0] and sys.stderr is streams[1]
 
 
 def test_run_builds_no_parser_per_call(monkeypatch):
