@@ -13,7 +13,10 @@ import json
 from . import linalg
 from .linalg import row_ranks
 from .polycore import FamilyMismatchError, Poly, Record
-from .symfunc import partition_counts, transition_alpha
+from .symfunc import alpha_invariant_rows, partition_counts
+
+# No caller here; perfbench's binding-site test wraps this name in this module.
+from .symfunc import transition_alpha  # noqa: F401
 from .umbral import lowering_matrix, monomial_index
 
 
@@ -54,14 +57,9 @@ def invariant_rows(n, g):
 
     The row paired with k is the {position: coefficient} dict of the
     nonzero coefficients of U~_k over `monomial_index(n, g)`:
-    U~_k = sum_h alpha[k][h] a_h.
+    U~_k = sum_h alpha[k][h] a_h.  No row of alpha with k1 > 0 is built.
     """
-    alpha = transition_alpha(n, g)
-    return [
-        (k, {j: x for j, x in enumerate(row) if x})
-        for k, row in zip(alpha.cols, alpha.entries)
-        if k[0] == 0
-    ]
+    return [(k, {j: x for j, x in enumerate(row) if x}) for k, row in alpha_invariant_rows(n, g)]
 
 
 def u_basis(n, g):

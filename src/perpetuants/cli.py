@@ -32,12 +32,16 @@ QN_MAX_N = 6
 QN_FULL_SIZE_N = 10
 
 # The a-monomials of a cell (n, g) index every matrix that basis,
-# perpetuants, oracle and verify build for it.  Degrees 3 and 4 build
-# alpha(n, w) densely for every w up to g; one cold run each on a 2-vCPU
-# Xeon with CPython 3.11: verify 3 170 (2494 monomials) 32 s at 1.9 GB,
-# basis and perpetuants 3 170 52-54 s at 2.06 GB, verify 4 66 7 s at
-# 558 MB.  basis and oracle also slow down with the degree: basis 14 26
-# took 23 s and basis 20 26 over 150 s.  (3,2000) exhausts memory.
+# perpetuants, oracle and verify build for it.  Only the k1 = 0 rows of
+# alpha(n, w) are built, for every w up to g.  At the largest admitted
+# weight of each degree 3..14 (scripts/cell_limits.py, one cold run each
+# on a 2-vCPU Xeon with CPython 3.11.7), verify_complement took 3.0 s at
+# 66 MB at (3,170) (2494 monomials) and 0.2-1.9 s elsewhere, u_basis
+# 1.6-4.5 s up to degree 9 (2.6 s at (3,170)), then 7.4 s at (10,27) up
+# to 24 s at (14,26), at most 127 MB: the Pieri tables list the subsets
+# of every partition, so basis and oracle slow down with the degree, and
+# basis 20 26 did not finish in 150 s when last timed.  At (3,2000) the
+# k1 = 0 rows alone would hold about 5 * 10^10 entries.
 CELL_MAX_MONOMIALS = 2500
 
 # basis and oracle build alpha(n, g), with one e-index of n entries per

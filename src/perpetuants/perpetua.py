@@ -11,7 +11,6 @@ import json
 from collections import Counter
 from functools import lru_cache
 
-from . import linalg
 from .basis import DimensionSeries, InvariantElement, dim_series, invariant_rows
 
 # No caller here; perfbench's binding-site test wraps these names in this module.
@@ -227,18 +226,30 @@ class ComplementCertificate(Record):
 @lru_cache(maxsize=None)
 def _kernel_dim(n, g):
     """dim ker D on the degree-n weight-g monomials, independent of alpha:
-    the monomial count less the rank of `lowering_matrix`.  Cached: a
-    certificate at (n, g) reads the cells (n - 1, g) and (n, g - n), which
-    a run over a range of n or g certifies or reads again.
-
-    D is ranked in its own column order, not sparsest columns first as in
-    linalg.row_ranks: it is already echelon there, so no pivot updates a
-    row.  On a 2-vCPU Xeon with CPython 3.11, rank(D) took 0.003 s in that
-    order against 0.15 s sparsest columns first at (6,31), while sparsest
-    first takes the (6,25) products from 0.89 s to 0.38 s.
+    the monomial count less the rank of `lowering_matrix`, which is its
+    row count, with no elimination.  D is echelon with unit pivots in its
+    own column order, checked at run time: each row's least column lies
+    strictly right of the row before's and holds 1, and those pivot
+    columns are exactly the monomials a_h with h1 != h2 (a missing part
+    counting as 0).  Cached: a certificate at (n, g) reads the cells (n - 1, g)
+    and (n, g - n), which a run over a range of n or g certifies or reads
+    again.
     """
-    width = len(monomial_index(n, g).parts)
-    return width - linalg.rank(lowering_matrix(n, g), width)
+    parts = monomial_index(n, g).parts
+    pivots = []
+    for t, row in enumerate(lowering_matrix(n, g)):
+        c = min(row, default=None)
+        if c is None or (pivots and c <= pivots[-1]) or row[c] != 1:
+            raise AssertionError(
+                f"row {t} of D at ({n},{g}) does not lead with a 1 strictly right of "
+                "the row before's"
+            )
+        pivots.append(c)
+    if pivots != [j for j, h in enumerate(parts) if h[1:2] != h[:1]]:
+        raise AssertionError(
+            f"the pivot columns of D at ({n},{g}) are not the monomials with h1 != h2"
+        )
+    return len(parts) - len(pivots)
 
 
 def verify_complement(n, g):

@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import combinations, compress, count, permutations, product
+from itertools import accumulate, combinations, compress, count, permutations, product
 from math import comb, log2, prod
 
 from .polycore import ExponentVector, Poly, Record
@@ -268,10 +268,20 @@ def _pieri_table(n, g, i):
     return table, position
 
 
+def _kept_rows(g, n, zeros):
+    """The positions, in `partition_parts(g, n)`, of the rows whose e-index
+    k begins with `zeros` zeros: every row for 0, and for 1 the k1 = 0 rows
+    that carry the basis invariants.  k_j = h_j - h_(j+1), so those are the
+    partitions h with h_1 = h_(zeros+1), a missing part counting as 0."""
+    return [r for r, h in enumerate(partition_parts(g, n)) if h[zeros : zeros + 1] == h[:1]]
+
+
 @lru_cache(maxsize=None)
-def _entries(n, g, direction):
-    """The entries of beta(n, g) or alpha(n, g), column by column from the
-    same matrix at the weights g - i and the Pieri tables of (n, g, i).
+def _entries(n, g, direction, zeros):
+    """The rows of beta(n, g) or alpha(n, g) whose e-index begins with
+    `zeros` zeros (`_kept_rows`), each over every column, built column by
+    column from the same rows at the weights g - i and the Pieri tables of
+    (n, g, i).  beta is built with every row, zeros = 0.
 
     Column j of either matrix belongs to the partition lam = rows[j]; with
     i = len(lam), its parent is the column lam - (1^i) of weight g - i.
@@ -280,13 +290,20 @@ def _entries(n, g, direction):
     sum c * m_mu over mu strictly later (asserted), and e_i * e^k raises
     the e-index partition by 1 in its first i places, so column j is the
     raised parent column minus sum c * (column mu), filled from the last
-    column back.  Reads the smaller weights from this cache, so they must
-    be filled first.
+    column back.  Raising adds eps_i to k, so a kept row reads only the
+    kept rows at g - i, and none when i <= zeros; the subtraction acts row
+    by row.  Reads the smaller weights from this cache, so they must be
+    filled first.  Each column is written into the rows as it is finished,
+    so the matrix is held once.
     """
     if g == 0:
         return [[1]]
     rows = partition_parts(g, n)
     position = partition_positions(g, n)
+    kept = _kept_rows(g, n, zeros)
+    at = {r: t for t, r in enumerate(kept)}
+    # above[j]: the number of kept rows above row j
+    above = list(accumulate((r in at for r in range(len(rows))), initial=0))
     steps = {}
     for i in range(1, min(n, g) + 1):
         table, lower = _pieri_table(n, g, i)
@@ -303,20 +320,24 @@ def _entries(n, g, direction):
                         f"the ({n},{g}) Pieri expansion of e_{n} * m_mu at "
                         f"mu = {Partition(mu)} is not the single term m_(mu + 1^{n})"
                     )
-        steps[i] = table, lower, raised, _entries(n, g - i, direction)
-    cols = [None] * len(rows)
+        smaller, targets = [], []
+        if i > zeros:
+            smaller = _entries(n, g - i, direction, zeros)
+            targets = [at[raised[r]] for r in _kept_rows(g - i, n, zeros)]
+        steps[i] = table, lower, targets, smaller
+    out = [[0] * len(rows) for _ in kept]
     for j in reversed(range(len(rows))):
-        table, lower, raised, smaller = steps[len(rows[j])]
+        table, lower, targets, smaller = steps[len(rows[j])]
         parent = lower[tuple(p - 1 for p in rows[j] if p > 1)]
-        col = [0] * len(rows)
+        col = [0] * len(kept)
         if direction == "beta":
             for b, expansion in zip((row[parent] for row in smaller), table):
                 if b:
                     for h, c in expansion.items():
                         col[h] += b * c
         else:
-            for p, row in zip(raised, smaller):
-                col[p] = row[parent]
+            for t, row in zip(targets, smaller):
+                col[t] = row[parent]
             expansion = table[parent]
             if expansion.get(j) != 1 or min(expansion) < j:
                 raise AssertionError(
@@ -325,22 +346,30 @@ def _entries(n, g, direction):
             for mu, c in expansion.items():
                 if mu != j:
                     # column mu is zero above row mu, as asserted below
-                    col[mu:] = [a - c * b for a, b in zip(col[mu:], cols[mu][mu:])]
-        if any(col[:j]):
+                    s = above[mu]
+                    col[s:] = [a - c * row[mu] for a, row in zip(col[s:], out[s:])]
+        top = above[j]
+        if any(col[:top]):
             raise AssertionError(
                 f"the ({n},{g}) {direction} column at h = {Partition(rows[j])} is not zero "
                 "above its row"
             )
-        cols[j] = col
-    return [list(row) for row in zip(*cols)]
+        for row, x in zip(out[top:], col[top:]):
+            row[j] = x
+    return out
+
+
+def _filled(n, g, direction, zeros):
+    """`_entries(n, g, direction, zeros)`, the smaller weights filled first
+    in increasing order, which keeps the stack depth flat."""
+    for w in range(g):
+        _entries(n, w, direction, zeros)
+    return _entries(n, g, direction, zeros)
 
 
 def _matrix(n, g, direction):
-    # the smaller weights in increasing order keep the stack depth flat
-    for w in range(g):
-        _entries(n, w, direction)
     return TransitionMatrix(
-        partitions_at_most(g, n), e_indices(n, g), _entries(n, g, direction), direction
+        partitions_at_most(g, n), e_indices(n, g), _filled(n, g, direction, 0), direction
     )
 
 
@@ -362,6 +391,15 @@ def transition_alpha(n, g):
     building beta: m_h = e_i * m_(h - (1^i)) minus later m_mu.
     """
     return _matrix(n, g, "alpha")
+
+
+def alpha_invariant_rows(n, g):
+    """(k, row) for each row of `transition_alpha(n, g)` whose e-index k
+    has k1 = 0, the rows that carry the basis invariants, in the canonical
+    order.  Built from the k1 = 0 rows at the weights g - i, i >= 2, and
+    the same-weight Pieri subtraction: no other row of alpha is built.
+    The rows are shared with the cache: never changed."""
+    return list(zip((k for k in e_indices(n, g) if k[0] == 0), _filled(n, g, "alpha", 1)))
 
 
 def bar_reduce(p, n):
@@ -546,7 +584,6 @@ def p_h(n, h):
     return _expand_forms(_reduced_forms(n, h), n)
 
 
-@lru_cache(maxsize=None)
 def q_n(n):
     """The product p_1 * p_2 * ... * p_floor(n/2), of degree 2^(n-1) - 1.
 
@@ -556,7 +593,8 @@ def q_n(n):
     the count of forms, before the expansion.  q_6 fills 19930 of its
     83521 slots; q_7, whose coefficient bound is 94 bits and whose box
     would have 39.1 million slots, raises ValueError at once, and so does
-    every larger n.
+    every larger n.  Not cached: the expansion (about 3 MB for q_6) is
+    freed when the caller drops it.
     """
     if n < 3:
         raise ValueError("q_n is defined for n >= 3")

@@ -77,10 +77,10 @@ def test_u_basis_of_an_empty_cell_builds_no_alpha(monkeypatch):
             empty = dim_series(n, g)[g] == 0
             assert (invariant_rows(n, g) == []) == empty
             if empty:
-                monkeypatch.setattr(basis_mod, "transition_alpha", refuse)
+                monkeypatch.setattr(basis_mod, "alpha_invariant_rows", refuse)
                 assert u_basis(n, g) == []
                 monkeypatch.undo()
-    monkeypatch.setattr(basis_mod, "transition_alpha", refuse)
+    monkeypatch.setattr(basis_mod, "alpha_invariant_rows", refuse)
     assert u_basis(1, 10**12) == []
     assert u_basis(10**12, 1) == []
     assert u_basis(2, 10**12 + 1) == []
@@ -96,6 +96,25 @@ def test_invariant_rows_are_the_nonzero_entries_of_the_k1_zero_alpha_rows():
                 if k[0] == 0
             ]
             assert invariant_rows(n, g) == expected
+
+
+def test_invariant_rows_build_no_row_of_alpha_with_k1_above_zero(monkeypatch):
+    # the k1 = 0 rows of every alpha(3, w), w <= 167: 2408 rows, where the
+    # whole matrices have 137662
+    built = {}
+    entries = symfunc._entries
+
+    def counted(n, g, direction, zeros):
+        out = entries(n, g, direction, zeros)
+        built[n, g, direction, zeros] = len(out)
+        return out
+
+    symfunc._entries.cache_clear()
+    monkeypatch.setattr(symfunc, "_entries", counted)
+    assert len(invariant_rows(3, 167)) == 28
+    assert set(built) == {(3, w, "alpha", 1) for w in range(168)}
+    assert sum(built.values()) == 2408
+    assert sum(len(symfunc.partition_parts(w, 3)) for w in range(168)) == 137662
 
 
 def test_u_basis_elements_are_integral_invariants():

@@ -23,9 +23,9 @@ from perpetuants import (
 from perpetuants.basis import invariant_rows, span_rank
 from perpetuants.perpetua import ThresholdVector, decomposable_rows, index_count
 from perpetuants import basis as basis_mod
-from perpetuants import perpetua, symfunc
-from perpetuants.symfunc import transition_alpha
-from perpetuants.umbral import monomial_index
+from perpetuants import linalg, perpetua, symfunc
+from perpetuants.symfunc import alpha_invariant_rows, transition_alpha
+from perpetuants.umbral import lowering_matrix, monomial_index
 
 
 def a(i):
@@ -258,10 +258,10 @@ def test_certificate_builds_no_beta(monkeypatch):
 
     entries = symfunc._entries
 
-    def alpha_only(n, g, direction):
+    def alpha_only(n, g, direction, zeros):
         if direction == "beta":
             refuse()
-        return entries(n, g, direction)
+        return entries(n, g, direction, zeros)
 
     _start_cold()
     monkeypatch.setattr(symfunc, "transition_beta", refuse)
@@ -280,11 +280,11 @@ def test_indices_are_chosen_before_alpha_or_threshold_is_built(monkeypatch):
     def alpha_below_degree_5(n, g):
         if n == 5:
             raise AssertionError("alpha(5, g) must not be built")
-        return transition_alpha(n, g)
+        return alpha_invariant_rows(n, g)
 
     _start_cold()
     monkeypatch.setattr(perpetua, "threshold", refuse_threshold)
-    monkeypatch.setattr(basis_mod, "transition_alpha", alpha_below_degree_5)
+    monkeypatch.setattr(basis_mod, "alpha_invariant_rows", alpha_below_degree_5)
     cert = verify_complement(5, 14)
     assert str(cert) == "(n=5, g=14) total=13 dec=13 perp=0 stroh=0 ok"
     assert perpetuant_basis(5, 14) == []
@@ -303,9 +303,9 @@ def _record_alpha_builds(monkeypatch):
     built = set()
     entries = symfunc._entries
 
-    def recorded(n, g, direction):
+    def recorded(n, g, direction, zeros):
         built.add((n, g))
-        return entries(n, g, direction)
+        return entries(n, g, direction, zeros)
 
     _start_cold()
     monkeypatch.setattr(symfunc, "_entries", recorded)
@@ -383,6 +383,19 @@ def test_quotient_certificate_equals_the_full_width_one_at_6_31():
     assert cert.to_json() == reference.to_json()
 
 
+@pytest.mark.slow
+def test_the_degree_6_band_from_31_to_36():
+    # one pass over the band, sharing its caches; outside criterion 1's grid
+    assert [str(verify_complement(6, g)) for g in range(31, 37)] == [
+        "(n=6, g=31) total=154 dec=153 perp=1 stroh=1 ok",
+        "(n=6, g=32) total=180 dec=180 perp=0 stroh=0 ok",
+        "(n=6, g=33) total=189 dec=188 perp=1 stroh=1 ok",
+        "(n=6, g=34) total=216 dec=215 perp=1 stroh=1 ok",
+        "(n=6, g=35) total=227 dec=225 perp=2 stroh=2 ok",
+        "(n=6, g=36) total=260 dec=258 perp=2 stroh=2 ok",
+    ]
+
+
 def test_a_selected_row_in_the_product_span_fails(monkeypatch):
     # the selected U_k of (4,12) read as a quotient product lies in the
     # decomposable span, so the union falls one short
@@ -414,6 +427,38 @@ def test_a_wrong_kernel_dimension_fails(monkeypatch, g, cell):
     cert = verify_complement(4, g)
     assert not cert.direct_sum_ok
     assert cert.dim_total == dim_series(4, g)[g]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_dimension_is_the_eliminated_corank_of_d(n):
+    # the row count of D stands for its rank; an elimination agrees
+    for g in range(15):
+        width = len(monomial_index(n, g).parts)
+        rank = linalg.rank(lowering_matrix(n, g), width)
+        assert perpetua._kernel_dim(n, g) == width - rank == dim_series(n, g)[g]
+
+
+@pytest.mark.parametrize(
+    "plant,message",
+    [
+        (lambda D: D[:4] + [D[5], D[4]] + D[6:], r"^row 5 of D at \(5,10\) does not lead"),
+        (lambda D: D[:4] + [{c: 2 * x for c, x in D[4].items()}] + D[5:], r"^row 4 of D "),
+        (lambda D: D[:4] + [{}] + D[5:], r"^row 4 of D "),
+        # still echelon, but one monomial with h1 != h2 is left without a pivot
+        (lambda D: D[:-1], r"^the pivot columns of D at \(5,10\) are not the monomials with h1 != h2$"),
+    ],
+    ids=["swapped", "pivot-2", "zero-row", "dropped-row"],
+)
+def test_kernel_dimension_refuses_a_d_that_is_not_unit_echelon(monkeypatch, plant, message):
+    lowering = perpetua.lowering_matrix
+
+    def planted(n, g):
+        return plant(lowering(n, g)) if (n, g) == (5, 10) else lowering(n, g)
+
+    perpetua._kernel_dim.cache_clear()
+    monkeypatch.setattr(perpetua, "lowering_matrix", planted)
+    with pytest.raises(AssertionError, match=message):
+        perpetua._kernel_dim(5, 10)
 
 
 def test_certificate_json_schema():

@@ -1,6 +1,7 @@
 """Symmetric-function side: partitions, transition matrices, the bar
 reduction, p_h / q_n and leading exponents."""
 
+import gc
 import hashlib
 import math
 import random
@@ -34,7 +35,7 @@ from perpetuants import (
     transition_beta,
 )
 from perpetuants import polycore, symfunc
-from perpetuants.symfunc import e_indices, elementary, partition_parts
+from perpetuants.symfunc import alpha_invariant_rows, e_indices, elementary, partition_parts
 
 
 def L(i):
@@ -287,7 +288,7 @@ def test_an_n_part_pieri_step_with_a_second_term_is_rejected(monkeypatch, direct
     with pytest.raises(
         AssertionError, match=r"^the \(3,6\) Pieri expansion of e_3 \* m_mu at mu = 2\+1 "
     ):
-        symfunc._entries(3, 6, direction)
+        symfunc._entries(3, 6, direction, 0)
     monkeypatch.undo()
     symfunc._entries.cache_clear()
     assert matmul(transition_alpha(3, 6).entries, transition_beta(3, 6).entries) == [
@@ -301,15 +302,81 @@ def test_column_nonzero_above_its_row_is_rejected(monkeypatch, direction):
     # row 4+1 of column 3+2 of (3,5), above its own row
     entries = symfunc._entries.__wrapped__
 
-    def corrupted(n, g, direction):
-        out = entries(n, g, direction)
+    def corrupted(n, g, direction, zeros):
+        out = entries(n, g, direction, zeros)
         if (n, g) == (3, 3):
             out = [[1] * len(out[0])] + out[1:]
         return out
 
     monkeypatch.setattr(symfunc, "_entries", corrupted)
     with pytest.raises(AssertionError, match=rf"\(3,5\) {direction} column at h = 3\+2 is not zero"):
-        corrupted(3, 5, direction)
+        corrupted(3, 5, direction, 0)
+
+
+# the same three assertions on a build of the k1 = 0 rows alone
+
+
+def _k1_zero_rows(n, g):
+    alpha = transition_alpha(n, g)
+    return [(k, row) for k, row in zip(alpha.cols, alpha.entries) if k[0] == 0]
+
+
+def test_k1_zero_rows_are_those_of_the_whole_alpha():
+    for n, g in GRID:
+        assert alpha_invariant_rows(n, g) == _k1_zero_rows(n, g), (n, g)
+
+
+def test_a_k1_zero_build_rejects_a_pieri_step_not_led_by_m_h(monkeypatch):
+    table = symfunc._pieri_table
+
+    def corrupted(n, g, i):
+        rows, position = table(n, g, i)
+        if (n, g, i) == (3, 5, 2):
+            rows = [{0: 1} | expansion for expansion in rows]
+        return rows, position
+
+    symfunc._entries.cache_clear()
+    monkeypatch.setattr(symfunc, "_pieri_table", corrupted)
+    with pytest.raises(AssertionError, match=r"^the \(3,5\) Pieri step does not lead with m_h at h = 3\+2$"):
+        alpha_invariant_rows(3, 5)
+    monkeypatch.undo()
+    # the failed cell is not cached
+    assert alpha_invariant_rows(3, 5) == _k1_zero_rows(3, 5)
+
+
+def test_a_k1_zero_build_rejects_an_n_part_pieri_step_with_a_second_term(monkeypatch):
+    table = symfunc._pieri_table
+
+    def corrupted(n, g, i):
+        rows, position = table(n, g, i)
+        if (n, g, i) == (3, 6, 3):
+            rows = [dict(expansion) for expansion in rows]
+            rows[position[(2, 1)]][len(partitions_at_most(6, 3)) - 1] = 1
+        return rows, position
+
+    symfunc._entries.cache_clear()
+    monkeypatch.setattr(symfunc, "_pieri_table", corrupted)
+    with pytest.raises(
+        AssertionError, match=r"^the \(3,6\) Pieri expansion of e_3 \* m_mu at mu = 2\+1 "
+    ):
+        alpha_invariant_rows(3, 6)
+
+
+def test_a_k1_zero_build_rejects_a_column_nonzero_above_its_row(monkeypatch):
+    # the one k1 = 0 row of (3,4), at 2+2, read as all ones: raised by e_3
+    # it is row 3+3+1 of (3,7), above column 3+2+2, whose parent is 2+1+1
+    entries = symfunc._entries.__wrapped__
+
+    def corrupted(n, g, direction, zeros):
+        out = entries(n, g, direction, zeros)
+        if (n, g) == (3, 4):
+            assert len(out) == 1
+            out = [[1] * len(out[0])]
+        return out
+
+    monkeypatch.setattr(symfunc, "_entries", corrupted)
+    with pytest.raises(AssertionError, match=r"\(3,7\) alpha column at h = 3\+2\+2 is not zero"):
+        corrupted(3, 7, "alpha", 1)
 
 
 @pytest.mark.parametrize("n,g", [(n, g) for n in range(1, 6) for g in range(0, 11)])
@@ -682,12 +749,26 @@ def test_q_n_degree_check_fires_before_the_expansion(monkeypatch):
 
     monkeypatch.setattr(symfunc, "_reduced_forms", one_form_short)
     monkeypatch.setattr(symfunc, "_expand_forms", expand)
-    q_n.cache_clear()
+    with pytest.raises(AssertionError, match=r"^q_n degree mismatch$"):
+        q_n(5)
+
+
+def test_q_n_is_freed_when_its_caller_drops_it():
+    # q_6's 19930 terms take about 3 MB; nothing keeps them once the
+    # caller lets go
+    gc.collect()
+    tracemalloc.start()
     try:
-        with pytest.raises(AssertionError, match=r"^q_n degree mismatch$"):
-            q_n(5)
+        before = tracemalloc.get_traced_memory()[0]
+        q = q_n(6)
+        held = tracemalloc.get_traced_memory()[0]
+        del q
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
-        q_n.cache_clear()
+        tracemalloc.stop()
+    assert held - before > 2 << 20
+    assert after - before < 1 << 19
 
 
 # ----------------------------------------------------------- leading exponents
